@@ -1,7 +1,10 @@
 """Command-line pipeline: rank, profile, kb build, synth, detect, eval, select.
 
-All subcommands share one JSON config; flags override environment variables
-(prefix KBFORGE_), which override the file. Artifacts land under
+All subcommands share one JSON config. Each value comes from its flag, else
+its KBFORGE_* environment variable, else the config file, else its default;
+OVERRIDES lists every value a flag or a variable can set. The types that own
+a value validate it (the dataclass of its section, or its enum), so a bad
+config exits before any data is loaded. Artifacts land under
 <out>/run-<config digest>/ so a re-run with identical config and seed
 overwrites identical bytes, while a changed config gets a fresh directory.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,15 +28,27 @@ class ConfigError(ValueError):
     pass
 
 
+BACKENDS = ("rule-oracle", "llm", "replay")
+
+#: kb.variant -> the KB configurations it names; `kb build` writes each one's
+#: text, `detect` classifies with the first.
+KB_VARIANTS = {
+    "none": (evaluation.KbConfig.NO_KB,),
+    "long": (evaluation.KbConfig.LONG_KB,),
+    "short": (evaluation.KbConfig.SHORT_KB,),
+    "both": (evaluation.KbConfig.LONG_KB, evaluation.KbConfig.SHORT_KB),
+}
+
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "out": "out",
     "k": 10,
     "data": {"synth": {"n_per_attack": 500, "jitter": 0.3}},
-    "forest": {"num_trees": 100, "max_depth": 12, "min_samples_leaf": 5, "bootstrap": True},
+    "forest": dataclasses.asdict(forest_rank.ForestParams()),
     "kb": {"variant": "both", "source": "canonical"},
     "backend": {
         "kind": "rule-oracle",
+        # Literal: LlmEndpointConfig.backoff_base_s is not a config key.
         "llm": {
             "base_url": "http://localhost:11434",
             "model_name": "llama3.1:8b",
@@ -42,7 +58,7 @@ DEFAULT_CONFIG: dict = {
             "api": "generate",
             "max_in_flight": 4,
         },
-        "rule_oracle": {"min_score": 0.5, "mandatory_strict": True},
+        "rule_oracle": dataclasses.asdict(detectors.RuleOracleConfig()),
         "replay": {"store_dir": "replays"},
     },
     "eval": {
@@ -54,17 +70,25 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-#: KBFORGE_* environment variables -> dotted config keys.
-ENV_KEYS = {
-    "KBFORGE_SEED": ("seed", int),
-    "KBFORGE_OUT": ("out", str),
-    "KBFORGE_BACKEND": ("backend.kind", str),
-    "KBFORGE_KB": ("kb.variant", str),
-    "KBFORGE_KB_SOURCE": ("kb.source", str),
-    "KBFORGE_N_PER_CLASS": ("eval.n_per_class", int),
-    "KBFORGE_BASE_URL": ("backend.llm.base_url", str),
-    "KBFORGE_MODEL": ("backend.llm.model_name", str),
-}
+#: Every config value a flag or an environment variable sets:
+#: (dotted config key, KBFORGE_* variable or None, argparse dest, type, help).
+#: The flag is --<dest with dashes>.
+OVERRIDES = (
+    ("seed", "KBFORGE_SEED", "seed", int, "seed for all pseudo-random choices"),
+    ("out", "KBFORGE_OUT", "out", str, "artifact output directory"),
+    ("backend.kind", "KBFORGE_BACKEND", "backend", str, "detector backend: " + ", ".join(BACKENDS)),
+    ("kb.variant", "KBFORGE_KB", "kb", str, "KB variant: " + ", ".join(KB_VARIANTS)),
+    ("kb.source", "KBFORGE_KB_SOURCE", "kb_source", str,
+     "KB source: " + ", ".join(s.value for s in kb_builder.KbSource)),
+    ("eval.n_per_class", "KBFORGE_N_PER_CLASS", "n_per_class", int, "eval sample size per class"),
+    ("backend.llm.base_url", "KBFORGE_BASE_URL", "base_url", str, "LLM endpoint base URL"),
+    ("backend.llm.model_name", "KBFORGE_MODEL", "model", str, "LLM model name"),
+    ("data.dataset.path", None, "dataset", str, "use a CSV dataset as the data source"),
+    ("data.synth.n_per_attack", None, "n_per_attack", int, "synthetic flows per attack"),
+    ("data.synth.jitter", None, "jitter", float, "synthetic jitter in [0, 1]"),
+    ("profiles_path", None, "profiles", str,
+     "attack-profiles JSON to drive synth/kb instead of the bundled table"),
+)
 
 
 def _set_path(config: dict, dotted: str, value) -> None:
@@ -85,78 +109,100 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+#: Every key a config may hold, with its default. The keys beyond
+#: DEFAULT_CONFIG's stay out of it, so that configs without them keep their
+#: digest; a data.dataset section takes its label_column from here.
+SCHEMA: dict = _merge(
+    DEFAULT_CONFIG, {"profiles_path": "", "data": {"dataset": {"path": "", "label_column": "label"}}}
+)
+
+
+def _check_keys(given: dict, known: dict, prefix: str = "") -> None:
+    """Reject a config-file key the program does not read, or a value of
+    another JSON type than its default (an integer may stand for a float)."""
+    for key, value in given.items():
+        name = prefix + key
+        if key not in known:
+            raise ConfigError(f"unknown config key: {name}")
+        default = known[key]
+        if isinstance(default, dict) and isinstance(value, dict):
+            _check_keys(value, default, name + ".")
+        elif type(value) is not type(default) and not (type(default) is float and type(value) is int):
+            raise ConfigError(f"config {name} must be of type {type(default).__name__}")
+
+
 def build_config(args: argparse.Namespace) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    """The run config: each value from its flag, else its KBFORGE_* variable,
+    else the config file, else its default. The data source is the one a flag
+    selects (--synth over --dataset), else the one the file names, else synth;
+    the file's values for that source are kept."""
+    given: dict = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            config = _merge(config, json.loads(path.read_text(encoding="utf-8")))
+            given = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(given, dict):
+            raise ConfigError("config file must hold a JSON object")
+        _check_keys(given, SCHEMA)
+    config = _merge(DEFAULT_CONFIG, given)
 
-    for env, (dotted, cast) in ENV_KEYS.items():
-        if env in os.environ:
+    data = given.get("data") or {"synth": {}}
+    chosen = "synth" if args.synth else "dataset" if args.dataset is not None else None
+    if chosen is not None:
+        data = {chosen: data.get(chosen, {})}
+    config["data"] = {name: _merge(SCHEMA["data"][name], section) for name, section in data.items()}
+
+    for dotted, env, dest, cast, _ in OVERRIDES:
+        value = getattr(args, dest)
+        if value is None and env is not None and env in os.environ:
             try:
-                _set_path(config, dotted, cast(os.environ[env]))
+                value = cast(os.environ[env])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {env}: {exc}") from exc
-
-    flag_map = {
-        "seed": "seed",
-        "out": "out",
-        "backend": "backend.kind",
-        "kb_source": "kb.source",
-        "n_per_class": "eval.n_per_class",
-        "base_url": "backend.llm.base_url",
-        "model": "backend.llm.model_name",
-        "n_per_attack": "data.synth.n_per_attack",
-        "jitter": "data.synth.jitter",
-        "profiles": "profiles_path",
-    }
-    for attr, dotted in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
+        keys = dotted.split(".")
+        # A data source's values apply only when that source is in use.
+        if value is not None and (keys[0] != "data" or keys[1] in config["data"]):
             _set_path(config, dotted, value)
-    if getattr(args, "kb", None) is not None:
-        _set_path(config, "kb.variant", args.kb)
-    if getattr(args, "dataset", None) is not None:
-        config["data"] = {"dataset": {"path": args.dataset, "label_column": "label"}}
-    if getattr(args, "synth", False):
-        config["data"] = {"synth": dict(DEFAULT_CONFIG["data"]["synth"])}
-        if getattr(args, "n_per_attack", None) is not None:
-            config["data"]["synth"]["n_per_attack"] = args.n_per_attack
-        if getattr(args, "jitter", None) is not None:
-            config["data"]["synth"]["jitter"] = args.jitter
 
+    if args.command == "synth" and "synth" not in config["data"]:
+        raise ConfigError("synth subcommand needs a data.synth source")
     validate_config(config)
     return config
 
 
 def validate_config(config: dict) -> None:
-    data = config.get("data", {})
-    sources = [key for key in ("synth", "dataset") if key in data]
-    if len(sources) != 1:
+    """Raise ConfigError for a config the run cannot use. Each typed section
+    is built from its values and each enum-valued key goes through its enum,
+    so the types that own a value are the ones that check it."""
+    data = config["data"]
+    if len(data) != 1:
         raise ConfigError("config must name exactly one data source (data.synth or data.dataset)")
-    if "dataset" in data:
-        path = Path(data["dataset"].get("path", ""))
-        if not path.exists():
-            raise ConfigError(f"dataset path does not exist: {path}")
+    if "dataset" in data and not Path(data["dataset"]["path"]).is_file():
+        raise ConfigError(f"dataset path does not exist: {data['dataset']['path']!r}")
     if config.get("profiles_path") and not Path(config["profiles_path"]).exists():
         raise ConfigError(f"profiles path does not exist: {config['profiles_path']}")
-    if config["backend"]["kind"] not in ("rule-oracle", "llm", "replay"):
+    if config["backend"]["kind"] not in BACKENDS:
         raise ConfigError(f"unknown backend kind: {config['backend']['kind']!r}")
-    if config["kb"]["variant"] not in ("long", "short", "both", "none"):
+    if config["kb"]["variant"] not in KB_VARIANTS:
         raise ConfigError(f"unknown kb variant: {config['kb']['variant']!r}")
-    if config["kb"]["source"] not in ("canonical", "generated"):
-        raise ConfigError(f"unknown kb source: {config['kb']['source']!r}")
-    for key in ("seed", "k"):
-        if not isinstance(config[key], int):
-            raise ConfigError(f"config {key!r} must be an integer")
-    bad = [c for c in config["eval"]["kb_configs"] if c not in ("no_kb", "long_kb", "short_kb")]
-    if bad:
-        raise ConfigError(f"unknown eval kb_configs: {bad}")
+    if config["seed"] < 0 or config["k"] < 1 or config["eval"]["n_per_class"] < 1:
+        raise ConfigError("seed must be >= 0, and k and eval.n_per_class >= 1")
+    try:
+        if "synth" in data:
+            synth_traffic.default_spec(seed=config["seed"], **data["synth"])
+        forest_rank.ForestParams(**config["forest"])
+        detectors.RuleOracleConfig(**config["backend"]["rule_oracle"])
+        detectors.LlmEndpointConfig(**config["backend"]["llm"])
+        kb_builder.KbSource(config["kb"]["source"])
+        prompting.DescribeMode(config["eval"]["mode"])
+        for name in config["eval"]["kb_configs"]:
+            evaluation.KbConfig(name)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def config_digest(config: dict) -> str:
@@ -199,28 +245,12 @@ class RunLock:
 def _load_records(config: dict) -> list[flow_data.FlowRecord]:
     data = config["data"]
     if "synth" in data:
-        spec = synth_traffic.default_spec(
-            n_per_attack=int(data["synth"]["n_per_attack"]),
-            jitter=float(data["synth"]["jitter"]),
-            seed=int(config["seed"]),
-        )
+        spec = synth_traffic.default_spec(seed=config["seed"], **data["synth"])
         records, _ = synth_traffic.generate_dataset(spec)
         return records
     dataset = data["dataset"]
-    records, _ = flow_data.load_dataset(
-        dataset["path"], label_column=dataset.get("label_column", "label")
-    )
+    records, _ = flow_data.load_dataset(dataset["path"], label_column=dataset["label_column"])
     return records
-
-
-def _forest_params(config: dict) -> forest_rank.ForestParams:
-    f = config["forest"]
-    return forest_rank.ForestParams(
-        num_trees=int(f["num_trees"]),
-        max_depth=int(f["max_depth"]),
-        min_samples_leaf=int(f["min_samples_leaf"]),
-        bootstrap=bool(f["bootstrap"]),
-    )
 
 
 def _attacks_present(records) -> list[flow_data.AttackLabel]:
@@ -229,11 +259,11 @@ def _attacks_present(records) -> list[flow_data.AttackLabel]:
 
 
 def _rank_all(config: dict, records) -> dict[flow_data.AttackLabel, forest_rank.ImportanceReport]:
-    params = _forest_params(config)
+    params = forest_rank.ForestParams(**config["forest"])
     reports = {}
     for attack in _attacks_present(records):
         reports[attack] = forest_rank.rank_features_for_attack(
-            records, attack, params=params, seed=int(config["seed"])
+            records, attack, params=params, seed=config["seed"]
         )
     if not reports:
         raise RuntimeError("no attack-labeled records to rank")
@@ -243,7 +273,7 @@ def _rank_all(config: dict, records) -> dict[flow_data.AttackLabel, forest_rank.
 def _build_profiles(config: dict, records) -> list[profile_mod.AttackProfile]:
     reports = _rank_all(config, records)
     return [
-        profile_mod.build_attack_profile(records, attack, report, k=int(config["k"]))
+        profile_mod.build_attack_profile(records, attack, report, k=config["k"])
         for attack, report in reports.items()
     ]
 
@@ -261,48 +291,31 @@ def _resolve_profiles(config: dict, records=None) -> list[profile_mod.AttackProf
     return _build_profiles(config, records)
 
 
-def _text_kb_for(config: dict, kb_config: evaluation.KbConfig, profiles):
+def _text_kb(config: dict, kb_config: evaluation.KbConfig, profiles) -> kb_builder.KnowledgeBase | None:
+    """The KB text a KB configuration names: the bundled one, or one rendered
+    from the profiles, as kb.source says."""
     if kb_config is evaluation.KbConfig.NO_KB:
         return None
-    variant = (
-        kb_builder.KbVariant.LONG
-        if kb_config is evaluation.KbConfig.LONG_KB
-        else kb_builder.KbVariant.SHORT
-    )
+    long = kb_config is evaluation.KbConfig.LONG_KB
     if config["kb"]["source"] == "canonical":
-        return kb_builder.canonical_kb(variant)
-    if variant is kb_builder.KbVariant.LONG:
+        return kb_builder.canonical_kb(kb_builder.KbVariant.LONG if long else kb_builder.KbVariant.SHORT)
+    if long:
         return kb_builder.render_long_kb(profiles)
     return kb_builder.render_short_kb(kb_builder.derive_key_features(profiles))
 
 
 def _make_backend(config: dict, kb_config: evaluation.KbConfig, profiles):
-    kind = config["backend"]["kind"]
-    if kind == "rule-oracle":
-        oracle_cfg = detectors.RuleOracleConfig(
-            min_score=float(config["backend"]["rule_oracle"]["min_score"]),
-            mandatory_strict=bool(config["backend"]["rule_oracle"]["mandatory_strict"]),
-        )
+    backend = config["backend"]
+    if backend["kind"] == "rule-oracle":
+        oracle_cfg = detectors.RuleOracleConfig(**backend["rule_oracle"])
         return detectors.RuleOracleDetector(kb_builder.structured_kb(profiles), oracle_cfg), None
-    if kind == "llm":
-        llm = config["backend"]["llm"]
-        llm_cfg = detectors.LlmEndpointConfig(
-            base_url=llm["base_url"],
-            model_name=llm["model_name"],
-            request_timeout_s=float(llm["request_timeout_s"]),
-            max_retries=int(llm["max_retries"]),
-            temperature=float(llm["temperature"]),
-            api=llm.get("api", "generate"),
-            max_in_flight=int(llm.get("max_in_flight", 4)),
+    if backend["kind"] == "llm":
+        detector = detectors.LlmDetector(
+            detectors.LlmEndpointConfig(**backend["llm"]),
+            mode=prompting.DescribeMode(config["eval"]["mode"]),
         )
-        mode = (
-            prompting.DescribeMode.NUMERIC
-            if config["eval"]["mode"] == "numeric"
-            else prompting.DescribeMode.QUALITATIVE
-        )
-        return detectors.LlmDetector(llm_cfg, mode=mode), _text_kb_for(config, kb_config, profiles)
-    store_dir = Path(config["backend"]["replay"]["store_dir"])
-    store_path = store_dir / f"{kb_config.value}.jsonl"
+        return detector, _text_kb(config, kb_config, profiles)
+    store_path = Path(backend["replay"]["store_dir"]) / f"{kb_config.value}.jsonl"
     if not store_path.exists():
         raise RuntimeError(f"replay store not found: {store_path}")
     return detectors.ReplayDetector(detectors.ReplayStore.load(store_path)), None
@@ -332,23 +345,12 @@ def cmd_profile(config: dict, args: argparse.Namespace) -> Path:
 
 
 def cmd_kb_build(config: dict, args: argparse.Namespace) -> Path:
-    variant = config["kb"]["variant"]
     out = artifact_dir(config) / "kb"
     profiles = _resolve_profiles(config)
-
-    wants_long = variant in ("long", "both")
-    wants_short = variant in ("short", "both")
-    if config["kb"]["source"] == "canonical":
-        if wants_long:
-            kb_builder.write_kb(kb_builder.canonical_kb(kb_builder.KbVariant.LONG), out)
-        if wants_short:
-            kb_builder.write_kb(kb_builder.canonical_kb(kb_builder.KbVariant.SHORT), out)
-    else:
-        if wants_long:
-            kb_builder.write_kb(kb_builder.render_long_kb(profiles), out)
-        if wants_short:
-            keys = kb_builder.derive_key_features(profiles)
-            kb_builder.write_kb(kb_builder.render_short_kb(keys), out)
+    for kb_config in KB_VARIANTS[config["kb"]["variant"]]:
+        kb = _text_kb(config, kb_config, profiles)
+        if kb is not None:
+            kb_builder.write_kb(kb, out)
     structured = kb_builder.structured_kb(profiles)
     (out / "structured.json").parent.mkdir(parents=True, exist_ok=True)
     (out / "structured.json").write_text(
@@ -358,22 +360,9 @@ def cmd_kb_build(config: dict, args: argparse.Namespace) -> Path:
 
 
 def cmd_synth(config: dict, args: argparse.Namespace) -> Path:
-    data = config["data"]
-    if "synth" not in data:
-        raise ConfigError("synth subcommand needs a data.synth source")
+    spec = synth_traffic.default_spec(seed=config["seed"], **config["data"]["synth"])
     if config.get("profiles_path"):
-        spec = synth_traffic.SynthSpec(
-            profiles=tuple(_resolve_profiles(config)),
-            n_per_attack=int(data["synth"]["n_per_attack"]),
-            jitter=float(data["synth"]["jitter"]),
-            seed=int(config["seed"]),
-        )
-    else:
-        spec = synth_traffic.default_spec(
-            n_per_attack=int(data["synth"]["n_per_attack"]),
-            jitter=float(data["synth"]["jitter"]),
-            seed=int(config["seed"]),
-        )
+        spec = dataclasses.replace(spec, profiles=tuple(_resolve_profiles(config)))
     records, summary = synth_traffic.generate_dataset(spec)
     out = artifact_dir(config) / "synth"
     flow_data.write_dataset(records, out / "synth.csv")
@@ -396,13 +385,7 @@ def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
     else:
         records = _load_records(config)
     profiles = _resolve_profiles(config)
-    kb_config = {
-        "none": evaluation.KbConfig.NO_KB,
-        "long": evaluation.KbConfig.LONG_KB,
-        "short": evaluation.KbConfig.SHORT_KB,
-        "both": evaluation.KbConfig.LONG_KB,
-    }[config["kb"]["variant"]]
-    backend, kb = _make_backend(config, kb_config, profiles)
+    backend, kb = _make_backend(config, KB_VARIANTS[config["kb"]["variant"]][0], profiles)
 
     out = artifact_dir(config) / "detect"
     out.mkdir(parents=True, exist_ok=True)
@@ -425,7 +408,7 @@ def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
 def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
     records = _load_records(config)
     sample = flow_data.stratified_sample(
-        records, n_per_class=int(config["eval"]["n_per_class"]), seed=int(config["seed"])
+        records, n_per_class=config["eval"]["n_per_class"], seed=config["seed"]
     )
     profiles = _resolve_profiles(config, records)
     grid = evaluation.EvaluationGrid()
@@ -440,8 +423,8 @@ def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
             backend,
             sample,
             kb,
-            strict=not bool(config["eval"]["best_effort"]),
-            workers=int(config["eval"].get("workers", 1)),
+            strict=not config["eval"]["best_effort"],
+            workers=config["eval"]["workers"],
         )
         (confusion_dir / f"{backend.backend_id.replace(':', '_')}_{kb_config.value}.json").write_text(
             json.dumps(cm.to_dict(), indent=2) + "\n", encoding="utf-8"
@@ -493,23 +476,11 @@ def cmd_select(config: dict, args: argparse.Namespace) -> Path:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON run configuration")
-    parser.add_argument("--seed", type=int, help="seed for all pseudo-random choices")
-    parser.add_argument("--out", help="artifact output directory")
     parser.add_argument(
-        "--backend", choices=["rule-oracle", "llm", "replay"], help="detector backend"
+        "--synth", action="store_true", help="use the synthetic data source (sizes: flags, then the file)"
     )
-    parser.add_argument("--kb", choices=["none", "long", "short", "both"], help="KB variant")
-    parser.add_argument(
-        "--kb-source", dest="kb_source", choices=["canonical", "generated"], help="KB source"
-    )
-    parser.add_argument("--n-per-class", dest="n_per_class", type=int, help="eval sample size per class")
-    parser.add_argument("--base-url", dest="base_url", help="LLM endpoint base URL")
-    parser.add_argument("--model", help="LLM model name")
-    parser.add_argument("--synth", action="store_true", help="use the synthetic data source")
-    parser.add_argument("--dataset", help="use a CSV dataset as the data source")
-    parser.add_argument("--n-per-attack", dest="n_per_attack", type=int, help="synthetic flows per attack")
-    parser.add_argument("--jitter", type=float, help="synthetic jitter in [0, 1]")
-    parser.add_argument("--profiles", help="attack-profiles JSON to drive synth/kb instead of the bundled table")
+    for _, _, dest, cast, help_text in OVERRIDES:
+        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,9 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     build = kb_sub.add_parser("build", help="write long/short KB files")
     _add_common_flags(build)
     source = build.add_mutually_exclusive_group()
-    source.add_argument("--canonical", action="store_true", help="use the bundled KB texts")
-    source.add_argument("--generated", action="store_true", help="render KBs from the data")
-    build.add_argument("--variant", choices=["long", "short", "both"], help="KB variant to build")
+    source.add_argument("--canonical", dest="kb_source", action="store_const", const="canonical",
+                        help="use the bundled KB texts")
+    source.add_argument("--generated", dest="kb_source", action="store_const", const="generated",
+                        help="render KBs from the data")
+    build.add_argument("--variant", dest="kb", help="KB variant to build, as --kb")
 
     detect = sub.add_parser("detect", help="classify one record or a CSV of records")
     _add_common_flags(detect)
@@ -555,22 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    try:
-        if args.command == "kb":
-            if getattr(args, "variant", None):
-                args.kb = args.variant
-            if getattr(args, "canonical", False):
-                args.kb_source = "canonical"
-            if getattr(args, "generated", False):
-                args.kb_source = "generated"
-        config = build_config(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": {"kind": "config", "message": str(exc)}}), file=sys.stderr)
-        return 2
-
+    args = build_parser().parse_args(argv)
     handlers = {
         "rank": cmd_rank,
         "profile": cmd_profile,
@@ -581,8 +539,8 @@ def main(argv: list[str] | None = None) -> int:
         "kb": cmd_kb_build,
     }
     try:
-        directory = artifact_dir(config)
-        with RunLock(directory):
+        config = build_config(args)
+        with RunLock(artifact_dir(config)):
             out = handlers[args.command](config, args)
         print(f"artifacts: {out}", file=sys.stderr)
         return 0

@@ -67,12 +67,6 @@ class Detector(Protocol):
     def classify(self, record: FlowRecord, kb=None) -> DetectionResult: ...
 
 
-def classify(backend: Detector, record: FlowRecord, kb=None) -> DetectionResult:
-    """Uniform entry point; model-content problems yield Unknown, transport
-    problems raise."""
-    return backend.classify(record, kb)
-
-
 # ---------------------------------------------------------------------------
 # Rule oracle.
 # ---------------------------------------------------------------------------

@@ -40,12 +40,6 @@ class ConfusionMatrix:
         self.counts[(true, predicted)] = self.counts.get((true, predicted), 0) + n
         self.total += n
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        for key, n in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + n
-        self.total += other.total
-        self.error_count += other.error_count
-
     def true_classes(self) -> list[AttackLabel]:
         return sorted({true for true, _ in self.counts}, key=lambda l: l.render())
 

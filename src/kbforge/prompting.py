@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .canonical import PROFILED_FEATURES, REFERENCE_PROFILES
+from .canonical import PROFILED_FEATURES
 from .flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord, display_name
 from .kb_builder import KbVariant, KnowledgeBase, format_number
 
@@ -39,25 +39,6 @@ class QualitativeThresholds:
     iat_low_below: float = 1e6
     iat_high_above: float = 1e7
     flag_elevated_at: float = 0.5
-
-    @staticmethod
-    def from_profiles(
-        profiles=None, normal_iat_values: list[float] | None = None
-    ) -> "QualitativeThresholds":
-        """Derive cutoffs from attack profiles: rates are High above the
-        cross-attack median of median rates; IAT is Low below the 25th
-        percentile of normal traffic when samples are supplied."""
-        profiles = list(profiles) if profiles is not None else list(REFERENCE_PROFILES.values())
-        rate_medians = sorted(
-            fp.median for p in profiles for fp in p.ranked_features if fp.feature in ("Rate", "Srate")
-        )
-        kwargs = {}
-        if rate_medians:
-            kwargs["rate_high_above"] = rate_medians[(len(rate_medians) - 1) // 2]
-        if normal_iat_values:
-            ordered = sorted(normal_iat_values)
-            kwargs["iat_low_below"] = ordered[max(0, (len(ordered) - 1) // 4)]
-        return QualitativeThresholds(**kwargs)
 
     def rate_tag(self, value: float) -> str:
         return "High" if value > self.rate_high_above else "Normal"
@@ -132,16 +113,6 @@ def record_digest(record: FlowRecord) -> str:
 class Prompt:
     text: str
     kb_variant: KbVariant | None
-    record_digest: str
-
-
-def export_prompt(prompt: Prompt, path) -> None:
-    """Write the prompt text to a file for auditing."""
-    from pathlib import Path
-
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(prompt.text + "\n", encoding="utf-8")
 
 
 def build_prompt(
@@ -159,7 +130,6 @@ def build_prompt(
     return Prompt(
         text="\n\n".join(sections),
         kb_variant=kb.variant if kb is not None else None,
-        record_digest=record_digest(record),
     )
 
 

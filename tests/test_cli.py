@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from kbforge.cli import build_parser, main
+from kbforge.cli import DEFAULT_CONFIG, OVERRIDES, artifact_dir, build_config, build_parser, main
+from kbforge.detectors import LlmEndpointConfig, RuleOracleConfig
+from kbforge.forest_rank import ForestParams
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -87,6 +91,109 @@ class TestValidation:
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"backend": {"kind": "oracle9000"}}), encoding="utf-8")
         assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize(
+        "file_config,argv",
+        [
+            ({"forest": {"num_trees": 0}}, ("rank", "--synth")),
+            (None, ("synth", "--jitter", "2")),
+            (None, ("eval", "--n-per-class", "0")),
+            ({"backend": {"llm": {"max_retries": -1}}}, ("eval", "--backend", "llm")),
+            ({"forest": {"num_treez": 3}}, ("rank", "--synth")),
+            ({"backend": {"llm": {"backoff_base_s": 0.0}}}, ("eval", "--backend", "llm")),
+            ({"eval": {"mode": "Numeric"}}, ("eval", "--backend", "rule-oracle")),
+            ({"forest": {"bootstrap": "no"}}, ("rank", "--synth")),
+            (None, ("synth", "--dataset", __file__)),
+        ],
+        ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
+             "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset"],
+    )
+    def test_invalid_config_exit_2_before_any_work(self, tmp_path, capsys, file_config, argv):
+        out = tmp_path / "out"
+        flags = ["--n-per-attack", "20", "--out", str(out)]
+        if file_config is not None:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps(file_config), encoding="utf-8")
+            flags += ["--config", str(config)]
+        assert run_cli(*argv, *flags) == 2
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert report["error"]["kind"] == "config"
+        assert not out.exists()
+
+
+class TestConfigPrecedence:
+    @pytest.mark.parametrize(
+        "flags,flows",
+        [((), 28), (("--synth",), 28), (("--synth", "--n-per-attack", "3"), 12)],
+        ids=["file", "synth-flag-keeps-file", "flag-beats-file"],
+    )
+    def test_synth_sizes_flag_then_file(self, tmp_path, flags, flows):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"data": {"synth": {"n_per_attack": 7}}}), encoding="utf-8")
+        assert run_cli("synth", "--config", str(config), *flags, "--out", str(tmp_path / "o")) == 0
+        summary = artifact_root(tmp_path / "o") / "synth" / "summary.json"
+        assert json.loads(summary.read_text(encoding="utf-8"))["record_count"] == flows
+
+    def test_dataset_from_file_equals_dataset_flag(self, tmp_path):
+        csv_path = tmp_path / "flows.csv"
+        csv_path.write_text("", encoding="utf-8")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"data": {"dataset": {"path": str(csv_path)}}}), encoding="utf-8")
+        from_file = build_config(build_parser().parse_args(["rank", "--config", str(config)]))
+        from_flag = build_config(build_parser().parse_args(["rank", "--dataset", str(csv_path)]))
+        assert from_file == from_flag
+
+    # Run-directory names of earlier releases: a config refactor must not move them.
+    @pytest.mark.parametrize(
+        "env,argv,run_dir",
+        [
+            ({}, "synth --out out", "run-e7daee8ce0b3"),
+            ({}, "eval --backend rule-oracle --synth --n-per-attack 60 --seed 11 --jitter 0.3 "
+                 "--n-per-class 40 --out out", "run-f221f1739089"),
+            ({"KBFORGE_SEED": "99", "KBFORGE_BACKEND": "llm", "KBFORGE_MODEL": "phi3:mini"},
+             "eval --out out", "run-2a8397d4d2ac"),
+            ({}, "rank --dataset flows.csv --seed 7 --out out", "run-4515a5e8d6d4"),
+            ({}, "kb build --canonical --variant long --out out", "run-f7fe5d4c17e2"),
+        ],
+        ids=["synth", "eval-synth-flags", "eval-env", "rank-dataset", "kb-build"],
+    )
+    def test_run_dir_names_are_pinned(self, tmp_path, monkeypatch, env, argv, run_dir):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "flows.csv").write_text("", encoding="utf-8")
+        for _, name, _, _, _ in OVERRIDES:
+            if name is not None:
+                monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        config = build_config(build_parser().parse_args(argv.split()))
+        assert artifact_dir(config) == Path("out") / run_dir
+
+    def test_kb_build_run_dir_through_main(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("kb", "build", "--canonical", "--variant", "long", "--out", "out") == 0
+        assert (tmp_path / "out" / "run-f7fe5d4c17e2" / "kb" / "long").is_dir()
+
+
+class TestConfigDrift:
+    @pytest.mark.parametrize(
+        "section,cls",
+        [
+            (DEFAULT_CONFIG["forest"], ForestParams),
+            (DEFAULT_CONFIG["backend"]["rule_oracle"], RuleOracleConfig),
+            (DEFAULT_CONFIG["backend"]["llm"], LlmEndpointConfig),
+        ],
+        ids=["forest", "rule_oracle", "llm"],
+    )
+    def test_default_sections_match_dataclass_defaults(self, section, cls):
+        defaults = dataclasses.asdict(cls())
+        defaults.pop("backoff_base_s", None)  # tuned in code, not a config key
+        assert section == defaults
+
+    def test_readme_lists_the_override_variables(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Environment overrides:", 1)[1].split("\n\n", 1)[0]
+        listed = re.findall(r"KBFORGE_[A-Z_]+", paragraph)
+        assert listed == [env for _, env, _, _, _ in OVERRIDES if env is not None]
 
 
 class TestDeterminism:

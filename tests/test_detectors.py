@@ -17,7 +17,6 @@ from kbforge.detectors import (
     ReplayStore,
     RuleOracleConfig,
     RuleOracleDetector,
-    classify,
     llm_classify,
     replay_classify,
     rule_oracle_classify,
@@ -112,7 +111,7 @@ class TestRuleOracle:
         )
 
     def test_detector_wrapper(self):
-        result = classify(RuleOracleDetector(KB), icmp_flow())
+        result = RuleOracleDetector(KB).classify(icmp_flow())
         assert isinstance(result, DetectionResult)
         assert result.predicted is AttackLabel.ICMP_FLOOD
         assert result.backend_id == "rule-oracle"

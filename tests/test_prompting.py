@@ -100,14 +100,6 @@ class TestBuildPrompt:
         other = make_record(None, **{"Min": 1.0})
         assert record_digest(record) != record_digest(other)
 
-    def test_export_prompt(self, tmp_path):
-        from kbforge.prompting import export_prompt
-
-        prompt = build_prompt(tcp_probe_record(), None)
-        target = tmp_path / "audit" / "prompt.txt"
-        export_prompt(prompt, target)
-        assert target.read_text(encoding="utf-8") == prompt.text + "\n"
-
 
 class TestParseResponse:
     @pytest.mark.parametrize(
