@@ -191,6 +191,8 @@ def validate_config(config: dict) -> None:
         raise ConfigError(f"unknown kb variant: {config['kb']['variant']!r}")
     if config["seed"] < 0 or config["k"] < 1 or config["eval"]["n_per_class"] < 1:
         raise ConfigError("seed must be >= 0, and k and eval.n_per_class >= 1")
+    if not config["eval"]["kb_configs"]:
+        raise ConfigError("eval.kb_configs must name at least one KB configuration")
     try:
         if "synth" in data:
             synth_traffic.default_spec(seed=config["seed"], **data["synth"])
@@ -429,12 +431,8 @@ def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
         (confusion_dir / f"{backend.backend_id.replace(':', '_')}_{kb_config.value}.json").write_text(
             json.dumps(cm.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
-        per_class = evaluation.per_class_accuracy(cm)
-        totals = {}
-        for (true, _), n in cm.counts.items():
-            totals[true] = totals.get(true, 0) + n
-        for attack, acc in per_class.items():
-            grid.set(attack, kb_config, backend.backend_id, evaluation.Cell(acc, totals[attack]))
+        for attack, cell in evaluation.per_class_cells(cm).items():
+            grid.set(attack, kb_config, backend.backend_id, cell)
 
     evaluation.write_grid_artifacts(grid, out)
     text, _, _ = evaluation.render_table(grid)

@@ -35,10 +35,12 @@ class EndpointConnectionError(TransportError):
 
 
 class EndpointStatusError(TransportError):
-    def __init__(self, status: int, body: str = ""):
+    def __init__(self, status: int, body: str = "", retry_after_s: float | None = None):
         super().__init__(f"endpoint returned HTTP {status}")
         self.status = status
         self.body = body
+        #: Wait the endpoint asked for in a delta-seconds Retry-After header.
+        self.retry_after_s = retry_after_s
 
 
 class EndpointProtocolError(TransportError):
@@ -197,8 +199,10 @@ class LlmEndpointConfig:
 class LlmDetector:
     """POSTs prompts to a local-LLM endpoint and parses the reply to a label.
 
-    Transient failures (timeouts, connection errors, 5xx) are retried with
-    exponential backoff up to max_retries; other failures raise immediately.
+    Transient failures (timeouts, connection errors, 429 and 5xx) are retried
+    with exponential backoff up to max_retries, or after the delta-seconds
+    Retry-After the endpoint sent, capped at request_timeout_s; other failures
+    raise immediately.
     Concurrent classify calls are capped at max_in_flight requests.
     """
 
@@ -242,7 +246,12 @@ class LlmDetector:
             raise EndpointConnectionError(str(exc)) from exc
         latency = (time.perf_counter() - start) * 1000.0
         if response.status_code != 200:
-            raise EndpointStatusError(response.status_code, response.text[:500])
+            retry_after = response.headers.get("Retry-After", "").strip()
+            raise EndpointStatusError(
+                response.status_code,
+                response.text[:500],
+                float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None,
+            )
         try:
             payload = response.json()
             if cfg.api == "generate":
@@ -264,11 +273,14 @@ class LlmDetector:
             except (EndpointTimeout, EndpointConnectionError) as exc:
                 last = exc
             except EndpointStatusError as exc:
-                if exc.status < 500:
-                    raise  # client errors are not transient
+                if exc.status < 500 and exc.status != 429:
+                    raise  # client errors are not transient; 429 asks for a retry
                 last = exc
             if attempt < cfg.max_retries:
-                time.sleep(cfg.backoff_base_s * (2**attempt))
+                delay = cfg.backoff_base_s * (2**attempt)
+                if isinstance(last, EndpointStatusError) and last.retry_after_s is not None:
+                    delay = min(last.retry_after_s, cfg.request_timeout_s)
+                time.sleep(delay)
         assert last is not None
         raise last
 

@@ -69,15 +69,20 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return diagonal / cm.total
 
 
-def per_class_accuracy(cm: ConfusionMatrix) -> dict[AttackLabel, float]:
-    """Recall per true class; classes with no samples are omitted."""
+def per_class_cells(cm: ConfusionMatrix) -> dict[AttackLabel, Cell]:
+    """Recall and sample count per true class; classes with no samples are omitted."""
     totals: dict[AttackLabel, int] = {}
     correct: dict[AttackLabel, int] = {}
     for (true, predicted), n in cm.counts.items():
         totals[true] = totals.get(true, 0) + n
         if true is predicted:
             correct[true] = correct.get(true, 0) + n
-    return {label: correct.get(label, 0) / total for label, total in totals.items()}
+    return {label: Cell(correct.get(label, 0) / total, total) for label, total in totals.items()}
+
+
+def per_class_accuracy(cm: ConfusionMatrix) -> dict[AttackLabel, float]:
+    """Recall per true class; classes with no samples are omitted."""
+    return {label: cell.accuracy for label, cell in per_class_cells(cm).items()}
 
 
 def evaluate(

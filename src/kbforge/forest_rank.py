@@ -7,6 +7,23 @@ name, then smaller threshold, which makes training fully deterministic for a
 fixed (record order, params, seed). Per-tree randomness comes only from the
 bootstrap resample, seeded with ``seed XOR tree_index`` through numpy's PCG64,
 a documented generator with stable streams across platforms.
+
+The search runs on a presorted column block (the "exact greedy" layout of
+XGBoost, Chen & Guestrin 2016). ``fit_forest`` transposes the feature matrix
+once, drops the columns that are constant across the dataset (they can never
+split) and argsorts each remaining column once, stably, so every row of the
+block lists record indices by (value, record index). A tree expands that order
+to its bootstrap multiset with ``np.repeat`` over the draw counts, which is
+the order a stable sort of each node's values over the sorted draws gives:
+ties stay in record order and repeated draws stay adjacent. One more row holds
+the draws themselves in ascending order, for the node mean. Each node is a
+column slice of the tree's one buffer. All live features are scored at once
+with row-wise cumulative sums, using the same elementwise expressions in the
+same order as a per-feature scan, so thresholds and reductions are
+bit-identical to it; the chosen split then partitions every row stably in
+place, and the children are the two halves of the node's slice. Scoring and
+partitioning take the rows in chunks of at most ``CHUNK_ELEMENTS`` elements,
+which bounds a node's temporaries, and so peak memory, whatever the data size.
 """
 
 from __future__ import annotations
@@ -63,86 +80,133 @@ class Forest:
     seed: int
 
 
+#: Most elements (feature rows x node samples) that one step of a node's split
+#: search or partition handles at once; it caps the temporaries a node allocates.
+CHUNK_ELEMENTS = 1 << 15
+
+
 def records_to_matrix(records: list[FlowRecord]) -> np.ndarray:
     """Stack records into an (n, n_features) float64 matrix in registry order."""
-    return np.array([[r.features[name] for name in FEATURES] for r in records], dtype=np.float64)
-
-
-def _best_split_for_feature(
-    values: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[float, float] | None:
-    """Return (sse_reduction, threshold) for the best admissible split, or None."""
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    ys = y[order]
-    n = vs.size
-    # boundary i means left = samples [0..i], right = [i+1..n-1]
-    boundaries = np.nonzero(vs[:-1] < vs[1:])[0]
-    if boundaries.size == 0:
-        return None
-    counts_left = boundaries + 1
-    admissible = (counts_left >= min_leaf) & (n - counts_left >= min_leaf)
-    boundaries = boundaries[admissible]
-    if boundaries.size == 0:
-        return None
-    cum_y = np.cumsum(ys)
-    cum_y2 = np.cumsum(ys * ys)
-    total_y = cum_y[-1]
-    total_y2 = cum_y2[-1]
-    n_left = (boundaries + 1).astype(np.float64)
-    n_right = n - n_left
-    sum_left = cum_y[boundaries]
-    sum2_left = cum_y2[boundaries]
-    sse_left = sum2_left - (sum_left * sum_left) / n_left
-    sum_right = total_y - sum_left
-    sse_right = (total_y2 - sum2_left) - (sum_right * sum_right) / n_right
-    sse_total = total_y2 - (total_y * total_y) / n
-    reductions = sse_total - sse_left - sse_right
-    best = int(np.argmax(reductions))  # first maximum <=> smaller threshold on ties
-    reduction = float(reductions[best])
-    if reduction <= 0.0:
-        return None
-    i = boundaries[best]
-    threshold = float((vs[i] + vs[i + 1]) / 2.0)
-    return reduction, threshold
-
-
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    indices: np.ndarray,
-    depth: int,
-    params: ForestParams,
-    n_root: int,
-) -> TreeNode:
-    y_node = y[indices]
-    n = indices.size
-    mean = float(y_node.mean())
-    if depth >= params.max_depth or n < 2 * params.min_samples_leaf or np.all(y_node == y_node[0]):
-        return Leaf(value=mean, sample_count=n)
-
-    best: tuple[float, int, float] | None = None  # (reduction, feature_idx, threshold)
-    for j in range(X.shape[1]):
-        found = _best_split_for_feature(X[indices, j], y_node, params.min_samples_leaf)
-        if found is None:
-            continue
-        reduction, threshold = found
-        if best is None or reduction > best[0]:
-            best = (reduction, j, threshold)
-    if best is None:
-        return Leaf(value=mean, sample_count=n)
-
-    reduction, j, threshold = best
-    mask = X[indices, j] <= threshold
-    left = _grow_tree(X, y, indices[mask], depth + 1, params, n_root)
-    right = _grow_tree(X, y, indices[~mask], depth + 1, params, n_root)
-    return Split(
-        feature=FEATURES[j],
-        threshold=threshold,
-        left=left,
-        right=right,
-        weighted_mse_reduction=reduction / n_root,
+    flat = np.fromiter(
+        (r.features[name] for r in records for name in FEATURES),
+        dtype=np.float64,
+        count=len(records) * len(FEATURES),
     )
+    return flat.reshape(len(records), len(FEATURES))
+
+
+class _TreeGrower:
+    """Grows one tree over a slice-partitioned buffer of presorted record indices.
+
+    ``order`` has one row per entry of ``columns`` (record indices sorted by
+    that column's value, then by index) plus a last row of the same samples in
+    ascending index order; a node owns the columns ``lo:hi`` of every row.
+    """
+
+    def __init__(
+        self,
+        columns: np.ndarray,
+        names: tuple[str, ...],
+        y: np.ndarray,
+        order: np.ndarray,
+        params: ForestParams,
+    ):
+        self.columns = columns
+        self.names = names
+        self.y = y
+        self.order = order
+        self.params = params
+        self.n_root = order.shape[1]
+
+    def grow(self, lo: int, hi: int, depth: int) -> TreeNode:
+        y_node = self.y[self.order[-1, lo:hi]]
+        n = hi - lo
+        mean = float(y_node.mean())
+        params = self.params
+        if depth >= params.max_depth or n < 2 * params.min_samples_leaf or np.all(y_node == y_node[0]):
+            return Leaf(value=mean, sample_count=n)
+        del y_node
+        best = self._best_split(lo, hi)
+        if best is None:
+            return Leaf(value=mean, sample_count=n)
+
+        reduction, column, threshold = best
+        mid = self._partition(lo, hi, column, threshold)
+        return Split(
+            feature=self.names[column],
+            threshold=threshold,
+            left=self.grow(lo, mid, depth + 1),
+            right=self.grow(mid, hi, depth + 1),
+            weighted_mse_reduction=reduction / self.n_root,
+        )
+
+    def _best_split(self, lo: int, hi: int) -> tuple[float, int, float] | None:
+        """Return (sse_reduction, column, threshold) of the node's best split, or None.
+
+        Boundary i puts samples [0..i] of a row left and the rest right; it is
+        admissible when both sides hold at least min_samples_leaf samples,
+        which leaves positions first..last-1 and left counts first+1..last.
+        """
+        n = hi - lo
+        first, last = self.params.min_samples_leaf - 1, n - self.params.min_samples_leaf
+        n_left = np.arange(first + 1, last + 1, dtype=np.float64)
+        n_right = n - n_left
+        best: tuple[float, int, float] | None = None
+        step = max(1, CHUNK_ELEMENTS // n)
+        n_columns = self.columns.shape[0]
+        for r0 in range(0, n_columns, step):
+            r1 = min(r0 + step, n_columns)
+            rows = self.order[r0:r1, lo:hi]
+            vs = np.take_along_axis(self.columns[r0:r1], rows, axis=1)
+            cut = vs[:, first:last] < vs[:, first + 1 : last + 1]
+            live = np.flatnonzero(cut.any(axis=1))  # skip rows with no admissible boundary
+            if live.size == 0:
+                continue
+            if live.size < cut.shape[0]:
+                rows, vs, cut = rows[live], vs[live], cut[live]
+            ys = self.y[rows]
+            cum_y = np.cumsum(ys, axis=1)
+            cum_y2 = np.cumsum(ys * ys, axis=1)
+            del ys
+            total_y = cum_y[:, -1:]
+            total_y2 = cum_y2[:, -1:]
+            sum_left = cum_y[:, first:last]
+            sum2_left = cum_y2[:, first:last]
+            sse_left = sum2_left - (sum_left * sum_left) / n_left
+            sum_right = total_y - sum_left
+            sse_right = (total_y2 - sum2_left) - (sum_right * sum_right) / n_right
+            sse_total = total_y2 - (total_y * total_y) / n
+            reductions = sse_total - sse_left - sse_right
+            del cum_y, cum_y2, sum_left, sum2_left, sse_left, sum_right, sse_right
+            reductions[~cut] = -np.inf
+            # First maximum in a row is the smaller threshold; the first row
+            # among equal maxima is the lower registry index.
+            at = reductions.argmax(axis=1)
+            scores = reductions[np.arange(at.size), at]
+            r = int(scores.argmax())
+            if best is None or scores[r] > best[0]:
+                i = first + int(at[r])
+                threshold = float((vs[r, i] + vs[r, i + 1]) / 2.0)
+                best = (float(scores[r]), r0 + int(live[r]), threshold)
+        if best is None or best[0] <= 0.0:
+            return None
+        return best
+
+    def _partition(self, lo: int, hi: int, column: int, threshold: float) -> int:
+        """Move the node's samples with column value <= threshold to the front
+        of every row, keeping each side's order; return the boundary index."""
+        n = hi - lo
+        values = self.columns[column]
+        step = max(1, CHUNK_ELEMENTS // n)
+        for r0 in range(0, self.order.shape[0], step):
+            rows = self.order[r0 : r0 + step, lo:hi]
+            left = values[rows] <= threshold
+            k = rows.shape[0]
+            n_left = int(np.count_nonzero(left[0]))
+            rows[:] = np.concatenate(
+                (rows[left].reshape(k, n_left), rows[~left].reshape(k, n - n_left)), axis=1
+            )
+        return lo + n_left
 
 
 def fit_forest(
@@ -159,7 +223,8 @@ def fit_forest(
     if len(records) < 2:
         raise ValueError("need at least 2 records to fit a forest")
     X = records_to_matrix(records)
-    if np.unique(X, axis=0).shape[0] < 2:
+    varying = np.flatnonzero((X != X[0]).any(axis=0))
+    if varying.size == 0:
         raise ValueError("need at least 2 distinct records to fit a forest")
     if callable(target):
         y = np.array([target(r) for r in records], dtype=np.float64)
@@ -169,14 +234,23 @@ def fit_forest(
         raise ValueError("target must be defined for every record")
 
     n = X.shape[0]
+    columns = np.ascontiguousarray(X[:, varying].T)
+    del X
+    names = tuple(FEATURES[j] for j in varying)
+    # Presorted rows, then the identity row that becomes the ascending draws.
+    block = np.vstack(
+        (np.argsort(columns, axis=1, kind="stable"), np.arange(n)[None, :])
+    ).astype(np.int32)
     trees = []
     for t in range(params.num_trees):
         if params.bootstrap:
             rng = np.random.Generator(np.random.PCG64(seed ^ t))
-            indices = np.sort(rng.integers(0, n, size=n))
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            flat = block.ravel()
+            order = np.repeat(flat, counts[flat]).reshape(block.shape)
         else:
-            indices = np.arange(n)
-        trees.append(_grow_tree(X, y, indices, depth=0, params=params, n_root=n))
+            order = block.copy()
+        trees.append(_TreeGrower(columns, names, y, order, params).grow(0, n, depth=0))
     return Forest(trees=tuple(trees), params=params, seed=seed)
 
 

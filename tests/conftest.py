@@ -45,6 +45,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(encoded)))
+        for name, value in step.get("headers", {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(encoded)
 

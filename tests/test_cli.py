@@ -104,9 +104,11 @@ class TestValidation:
             ({"eval": {"mode": "Numeric"}}, ("eval", "--backend", "rule-oracle")),
             ({"forest": {"bootstrap": "no"}}, ("rank", "--synth")),
             (None, ("synth", "--dataset", __file__)),
+            ({"eval": {"kb_configs": []}}, ("eval", "--n-per-class", "5")),
         ],
         ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
-             "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset"],
+             "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset",
+             "no-kb-configs"],
     )
     def test_invalid_config_exit_2_before_any_work(self, tmp_path, capsys, file_config, argv):
         out = tmp_path / "out"

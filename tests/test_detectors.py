@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from kbforge.canonical import REFERENCE_PROFILES
@@ -202,11 +204,30 @@ class TestLlmDetector:
         assert len(stub_server.requests) == 2
 
     def test_client_error_is_not_retried(self, stub_server):
-        stub_server.set_script([{"status": 404, "raw": "nope"}])
-        with pytest.raises(EndpointStatusError) as info:
-            llm_classify(icmp_flow(), None, self._config(stub_server, max_retries=3))
-        assert info.value.status == 404
-        assert len(stub_server.requests) == 1
+        for status in (400, 404):
+            stub_server.set_script([{"status": status, "raw": "nope"}])
+            with pytest.raises(EndpointStatusError) as info:
+                llm_classify(icmp_flow(), None, self._config(stub_server, max_retries=3))
+            assert info.value.status == status
+            assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize(
+        "retry_after,overrides",
+        [("0", {"backoff_base_s": 5.0}), ("3600", {"request_timeout_s": 0.3})],
+        ids=["header-beats-backoff", "capped-at-timeout"],
+    )
+    def test_rate_limit_is_retried_as_the_header_asks(self, stub_server, retry_after, overrides):
+        stub_server.set_script(
+            [
+                {"status": 429, "raw": "slow down", "headers": {"Retry-After": retry_after}},
+                {"status": 200, "json": {"response": "Normal"}},
+            ]
+        )
+        start = time.perf_counter()
+        result = llm_classify(icmp_flow(), None, self._config(stub_server, **overrides))
+        assert time.perf_counter() - start < 2.0
+        assert result.predicted is AttackLabel.NORMAL
+        assert len(stub_server.requests) == 2
 
     def test_timeout_raises_timeout_kind(self, stub_server):
         stub_server.set_script(

@@ -15,6 +15,7 @@ from kbforge.evaluation import (
     evaluate,
     grid_from_reference,
     per_class_accuracy,
+    per_class_cells,
     render_table,
     select_best_kb,
 )
@@ -72,6 +73,7 @@ class TestPerClassAccuracy:
         pairs = [(ICMP, ICMP)] * 489 + [(ICMP, UDP)] * 11
         cm = cm_of(*pairs)
         assert per_class_accuracy(cm)[ICMP] == pytest.approx(0.978)
+        assert per_class_cells(cm)[ICMP] == Cell(489 / 500, 500)
 
     def test_absent_class_omitted(self):
         cm = cm_of((ICMP, ICMP))

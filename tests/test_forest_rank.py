@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kbforge import forest_rank
 from kbforge.flow_data import FEATURES, AttackLabel
 from kbforge.forest_rank import (
     Forest,
@@ -10,6 +15,7 @@ from kbforge.forest_rank import (
     ImportanceReport,
     Leaf,
     Split,
+    TreeNode,
     feature_importance,
     fit_forest,
     predict,
@@ -56,6 +62,172 @@ def brute_force_single_split(records, targets):
             if reduction > best[0]:
                 best = (reduction, feature, threshold)
     return best
+
+
+# Per-feature exact split search: one stable argsort and cumsum per feature at
+# every node. fit_forest must return the very same Forest, float for float.
+
+
+def reference_best_split_for_feature(
+    values: np.ndarray, y: np.ndarray, min_leaf: int
+) -> tuple[float, float] | None:
+    """Return (sse_reduction, threshold) for the best admissible split, or None."""
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    ys = y[order]
+    n = vs.size
+    # boundary i means left = samples [0..i], right = [i+1..n-1]
+    boundaries = np.nonzero(vs[:-1] < vs[1:])[0]
+    if boundaries.size == 0:
+        return None
+    counts_left = boundaries + 1
+    admissible = (counts_left >= min_leaf) & (n - counts_left >= min_leaf)
+    boundaries = boundaries[admissible]
+    if boundaries.size == 0:
+        return None
+    cum_y = np.cumsum(ys)
+    cum_y2 = np.cumsum(ys * ys)
+    total_y = cum_y[-1]
+    total_y2 = cum_y2[-1]
+    n_left = (boundaries + 1).astype(np.float64)
+    n_right = n - n_left
+    sum_left = cum_y[boundaries]
+    sum2_left = cum_y2[boundaries]
+    sse_left = sum2_left - (sum_left * sum_left) / n_left
+    sum_right = total_y - sum_left
+    sse_right = (total_y2 - sum2_left) - (sum_right * sum_right) / n_right
+    sse_total = total_y2 - (total_y * total_y) / n
+    reductions = sse_total - sse_left - sse_right
+    best = int(np.argmax(reductions))  # first maximum <=> smaller threshold on ties
+    reduction = float(reductions[best])
+    if reduction <= 0.0:
+        return None
+    i = boundaries[best]
+    threshold = float((vs[i] + vs[i + 1]) / 2.0)
+    return reduction, threshold
+
+
+def reference_grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    indices: np.ndarray,
+    depth: int,
+    params: ForestParams,
+    n_root: int,
+) -> TreeNode:
+    y_node = y[indices]
+    n = indices.size
+    mean = float(y_node.mean())
+    if depth >= params.max_depth or n < 2 * params.min_samples_leaf or np.all(y_node == y_node[0]):
+        return Leaf(value=mean, sample_count=n)
+
+    best: tuple[float, int, float] | None = None  # (reduction, feature_idx, threshold)
+    for j in range(X.shape[1]):
+        found = reference_best_split_for_feature(X[indices, j], y_node, params.min_samples_leaf)
+        if found is None:
+            continue
+        reduction, threshold = found
+        if best is None or reduction > best[0]:
+            best = (reduction, j, threshold)
+    if best is None:
+        return Leaf(value=mean, sample_count=n)
+
+    reduction, j, threshold = best
+    mask = X[indices, j] <= threshold
+    left = reference_grow_tree(X, y, indices[mask], depth + 1, params, n_root)
+    right = reference_grow_tree(X, y, indices[~mask], depth + 1, params, n_root)
+    return Split(
+        feature=FEATURES[j],
+        threshold=threshold,
+        left=left,
+        right=right,
+        weighted_mse_reduction=reduction / n_root,
+    )
+
+
+def reference_fit_forest(records, targets, params, seed):
+    X = np.array([[r.features[name] for name in FEATURES] for r in records], dtype=np.float64)
+    if np.unique(X, axis=0).shape[0] < 2:
+        raise ValueError("need at least 2 distinct records to fit a forest")
+    y = np.asarray(targets, dtype=np.float64)
+    n = X.shape[0]
+    trees = []
+    for t in range(params.num_trees):
+        if params.bootstrap:
+            rng = np.random.Generator(np.random.PCG64(seed ^ t))
+            indices = np.sort(rng.integers(0, n, size=n))
+        else:
+            indices = np.arange(n)
+        trees.append(reference_grow_tree(X, y, indices, depth=0, params=params, n_root=n))
+    return Forest(trees=tuple(trees), params=params, seed=seed)
+
+
+def count_splits(node):
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + count_splits(node.left) + count_splits(node.right)
+
+
+@st.composite
+def forest_cases(draw):
+    """Small matrices: few distinct values per column, the other registry
+    columns constant, some columns copied under another name (exact ties
+    between features), and float targets drawn from a small pool."""
+    n = draw(st.integers(2, 60))
+    names = draw(st.lists(st.sampled_from(FEATURES), min_size=1, max_size=6, unique=True))
+    eighths = st.integers(-80, 80).map(lambda v: v / 8)
+    columns = {}
+    for name in names:
+        if columns and draw(st.booleans()):
+            columns[name] = list(columns[draw(st.sampled_from(sorted(columns)))])
+        else:
+            pool = draw(st.lists(eighths, min_size=1, max_size=8))
+            columns[name] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    records = [make_record(None, **{name: col[i] for name, col in columns.items()}) for i in range(n)]
+    target_pool = draw(
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=2, max_size=4)
+    )
+    targets = draw(st.lists(st.sampled_from(target_pool), min_size=n, max_size=n))
+    params = ForestParams(
+        num_trees=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 12)),
+        min_samples_leaf=draw(st.integers(1, 6)),
+        bootstrap=draw(st.booleans()),
+    )
+    return records, targets, params, draw(st.integers(0, 2**16))
+
+
+class TestAgainstPerFeatureSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(case=forest_cases(), chunk=st.sampled_from([1, 7, 64, forest_rank.CHUNK_ELEMENTS]))
+    def test_fit_forest_equals_reference(self, case, chunk):
+        records, targets, params, seed = case
+        try:
+            expected = reference_fit_forest(records, targets, params, seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="distinct"):
+                fit_forest(records, targets, params, seed)
+            return
+        with mock.patch.object(forest_rank, "CHUNK_ELEMENTS", chunk):
+            assert fit_forest(records, targets, params, seed) == expected
+
+    @pytest.fixture(scope="class")
+    def deep_case(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        X = rng.normal(size=(600, len(FEATURES))).round(2)
+        records = [make_record(None, **dict(zip(FEATURES, map(float, row)))) for row in X]
+        targets = rng.normal(size=600)  # noise: deep trees
+        params = ForestParams(num_trees=2, max_depth=12, min_samples_leaf=2)
+        return records, targets, params, reference_fit_forest(records, targets, params, seed=5)
+
+    @pytest.mark.parametrize("chunk", [forest_rank.CHUNK_ELEMENTS, 1000])
+    def test_deep_noise_forest_equals_reference(self, deep_case, chunk):
+        records, targets, params, expected = deep_case
+        assert all(count_splits(tree) >= 50 for tree in expected.trees)
+        with mock.patch.object(forest_rank, "CHUNK_ELEMENTS", chunk):
+            forest = fit_forest(records, targets, params, seed=5)
+        assert forest == expected
+        assert feature_importance(forest).to_json() == feature_importance(expected).to_json()
 
 
 class TestParams:
