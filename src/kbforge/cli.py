@@ -392,17 +392,21 @@ def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
     out = artifact_dir(config) / "detect"
     out.mkdir(parents=True, exist_ok=True)
     lines = []
-    for record in records:
-        result = backend.classify(record, kb)
-        row = {
-            "digest": prompting.record_digest(record),
-            "true": record.label.render() if record.label else None,
-            "predicted": result.predicted.render(),
-            "latency_ms": round(result.latency_ms, 3),
-            "backend_id": result.backend_id,
-        }
-        lines.append(json.dumps(row))
-        print(json.dumps(row))
+    try:
+        for record in records:
+            result = backend.classify(record, kb)
+            row = {
+                "digest": prompting.record_digest(record),
+                "true": record.label.render() if record.label else None,
+                "predicted": result.predicted.render(),
+                "latency_ms": round(result.latency_ms, 3),
+                "backend_id": result.backend_id,
+            }
+            lines.append(json.dumps(row))
+            print(json.dumps(row))
+    finally:
+        if isinstance(backend, detectors.LlmDetector):
+            backend.close()  # its idle keep-alive connections
     (out / "results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
@@ -421,13 +425,17 @@ def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
     for name in config["eval"]["kb_configs"]:
         kb_config = evaluation.KbConfig(name)
         backend, kb = _make_backend(config, kb_config, profiles)
-        cm = evaluation.evaluate(
-            backend,
-            sample,
-            kb,
-            strict=not config["eval"]["best_effort"],
-            workers=config["eval"]["workers"],
-        )
+        try:
+            cm = evaluation.evaluate(
+                backend,
+                sample,
+                kb,
+                strict=not config["eval"]["best_effort"],
+                workers=config["eval"]["workers"],
+            )
+        finally:
+            if isinstance(backend, detectors.LlmDetector):
+                backend.close()  # its idle keep-alive connections
         (confusion_dir / f"{backend.backend_id.replace(':', '_')}_{kb_config.value}.json").write_text(
             json.dumps(cm.to_dict(), indent=2) + "\n", encoding="utf-8"
         )

@@ -4,14 +4,17 @@ endpoints, and a record/replay store for offline tests."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord
 from .kb_builder import InRange, KnowledgeBase, MandatoryEquals, StructuredKb, TypicalNear
@@ -39,7 +42,8 @@ class EndpointStatusError(TransportError):
         super().__init__(f"endpoint returned HTTP {status}")
         self.status = status
         self.body = body
-        #: Wait the endpoint asked for in a delta-seconds Retry-After header.
+        #: Wait the endpoint asked for in a Retry-After header, in seconds from
+        #: when the reply arrived (never negative).
         self.retry_after_s = retry_after_s
 
 
@@ -184,6 +188,10 @@ class LlmEndpointConfig:
     backoff_base_s: float = 0.25
 
     def __post_init__(self) -> None:
+        url = urlsplit(self.base_url)
+        # url.port itself raises ValueError for a port that is not a number in range.
+        if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+            raise ValueError("base_url must be an http:// or https:// URL with a host")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
         if self.max_retries < 0:
@@ -196,14 +204,33 @@ class LlmEndpointConfig:
             raise ValueError("max_in_flight must be >= 1")
 
 
+def _retry_after_s(header: str | None) -> float | None:
+    """Seconds a Retry-After header asks to wait, as delta-seconds or an
+    HTTP-date (RFC 9110 section 10.2.3); None when absent or unreadable."""
+    if header is None:
+        return None
+    header = header.strip()
+    if header.isascii() and header.isdigit():
+        return float(header)
+    try:
+        when = parsedate_to_datetime(header)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000" zones parse naive; HTTP-dates are UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
+
+
 class LlmDetector:
     """POSTs prompts to a local-LLM endpoint and parses the reply to a label.
 
     Transient failures (timeouts, connection errors, 429 and 5xx) are retried
-    with exponential backoff up to max_retries, or after the delta-seconds
-    Retry-After the endpoint sent, capped at request_timeout_s; other failures
-    raise immediately.
-    Concurrent classify calls are capped at max_in_flight requests.
+    with exponential backoff up to max_retries, or after the Retry-After the
+    endpoint sent, capped at request_timeout_s; other failures raise
+    immediately.
+    At most max_in_flight classify calls reach the endpoint at once, and each
+    holds one keep-alive connection, so at most max_in_flight connections are
+    open. Call close() to drop the idle ones.
     """
 
     def __init__(
@@ -211,19 +238,50 @@ class LlmDetector:
         config: LlmEndpointConfig = LlmEndpointConfig(),
         mode: DescribeMode = DescribeMode.QUALITATIVE,
         thresholds: QualitativeThresholds = QualitativeThresholds(),
-        session: requests.Session | None = None,
     ):
         self.config = config
         self.mode = mode
         self.thresholds = thresholds
-        self.session = session or requests.Session()
         self.backend_id = f"llm:{config.model_name}"
         self._gate = threading.Semaphore(config.max_in_flight)
+        url = urlsplit(config.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host = url.hostname
+        self._port = url.port or self._connection_class.default_port
+        endpoint = "/api/generate" if config.api == "generate" else "/v1/chat/completions"
+        self._path = url.path.rstrip("/") + endpoint
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections; later calls open new ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the peer has not closed, else a new one.
+
+        An idle keep-alive socket that polls readable has seen the peer's
+        close (or bytes sent out of turn), so it is dropped before it can
+        fail a request and use up a retry.
+        """
+        with self._idle_lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not select.select([conn.sock], [], [], 0)[0]:
+                    return conn
+                conn.close()
+        # http.client sets TCP_NODELAY on connect, so the body it writes after
+        # the headers does not wait on the peer's delayed ACK.
+        return self._connection_class(self._host, self._port, timeout=self.config.request_timeout_s)
 
     def _request_once(self, prompt_text: str) -> tuple[str, float]:
         cfg = self.config
         if cfg.api == "generate":
-            url = f"{cfg.base_url.rstrip('/')}/api/generate"
             body = {
                 "model": cfg.model_name,
                 "prompt": prompt_text,
@@ -231,29 +289,40 @@ class LlmDetector:
                 "options": {"temperature": cfg.temperature},
             }
         else:
-            url = f"{cfg.base_url.rstrip('/')}/v1/chat/completions"
             body = {
                 "model": cfg.model_name,
                 "messages": [{"role": "user", "content": prompt_text}],
                 "temperature": cfg.temperature,
             }
         start = time.perf_counter()
+        conn = self._connection()
+        reusable = False
         try:
-            response = self.session.post(url, json=body, timeout=cfg.request_timeout_s)
-        except requests.Timeout as exc:
+            conn.request(
+                "POST", self._path, json.dumps(body).encode(), {"Content-Type": "application/json"}
+            )
+            response = conn.getresponse()
+            raw = response.read()
+            reusable = not response.will_close
+        except TimeoutError as exc:  # an OSError subclass, so it goes first
             raise EndpointTimeout(str(exc)) from exc
-        except requests.ConnectionError as exc:
-            raise EndpointConnectionError(str(exc)) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise EndpointConnectionError(str(exc) or type(exc).__name__) from exc
+        finally:
+            if reusable:
+                with self._idle_lock:
+                    self._idle.append(conn)
+            else:
+                conn.close()
         latency = (time.perf_counter() - start) * 1000.0
-        if response.status_code != 200:
-            retry_after = response.headers.get("Retry-After", "").strip()
+        if response.status != 200:
             raise EndpointStatusError(
-                response.status_code,
-                response.text[:500],
-                float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None,
+                response.status,
+                raw.decode("utf-8", "replace")[:500],
+                _retry_after_s(response.getheader("Retry-After")),
             )
         try:
-            payload = response.json()
+            payload = json.loads(raw)
             if cfg.api == "generate":
                 text = payload["response"]
             else:
@@ -303,7 +372,11 @@ def llm_classify(
     mode: DescribeMode = DescribeMode.QUALITATIVE,
 ) -> DetectionResult:
     """One-shot convenience wrapper around LlmDetector."""
-    return LlmDetector(config, mode=mode).classify(record, kb)
+    detector = LlmDetector(config, mode=mode)
+    try:
+        return detector.classify(record, kb)
+    finally:
+        detector.close()
 
 
 # ---------------------------------------------------------------------------

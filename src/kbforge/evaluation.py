@@ -3,8 +3,9 @@ attack-by-KB-configuration grid, and best-KB selection."""
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -120,17 +121,28 @@ def evaluate(
             cm.add(record.label, result.predicted)
         return cm
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, record) for record in records]
-        for future in futures:
-            try:
-                true, result = future.result()
-            except TransportError:
-                if strict:
-                    raise
-                cm.error_count += 1
-                continue
-            cm.add(true, result.predicted)
+    # At most 2 x workers records are submitted ahead of the tally, so a strict
+    # run stops classifying soon after its first transport error.
+    window = 2 * workers
+    queue = iter(records)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = {pool.submit(one, record) for record in itertools.islice(queue, window)}
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                try:
+                    true, result = future.result()
+                except TransportError:
+                    if strict:
+                        raise
+                    cm.error_count += 1
+                    continue
+                cm.add(true, result.predicted)
+            refill = itertools.islice(queue, window - len(pending))
+            pending |= {pool.submit(one, record) for record in refill}
+    finally:
+        pool.shutdown(cancel_futures=True)
     return cm
 
 

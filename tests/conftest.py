@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -22,6 +24,17 @@ def zero_record() -> FlowRecord:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections_opened += 1
+            self.server.open_connections.add(self.connection)
+
+    def finish(self):
+        with self.server.lock:
+            self.server.open_connections.discard(self.connection)
+        super().finish()
+
     def do_POST(self):  # noqa: N802 (http.server API)
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length)
@@ -54,14 +67,26 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-class StubServer:
-    """Scripted HTTP endpoint: each request consumes the next scripted step."""
+class _KeepAliveStubHandler(_StubHandler):
+    protocol_version = "HTTP/1.1"
 
-    def __init__(self):
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+
+class StubServer:
+    """Scripted HTTP endpoint: each request consumes the next scripted step.
+
+    By default it speaks HTTP/1.0 and closes the connection after each reply;
+    with keep_alive=True it speaks HTTP/1.1 and keeps connections open.
+    """
+
+    def __init__(self, keep_alive: bool = False):
+        handler = _KeepAliveStubHandler if keep_alive else _StubHandler
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.server.script = [{"status": 200, "json": {"response": "Normal"}}]
         self.server.requests = []
         self.server.call_count = 0
+        self.server.lock = threading.Lock()
+        self.server.connections_opened = 0
+        self.server.open_connections = set()
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -74,18 +99,38 @@ class StubServer:
     def requests(self) -> list[dict]:
         return self.server.requests
 
+    @property
+    def connections_opened(self) -> int:
+        return self.server.connections_opened
+
     def set_script(self, steps: list[dict]) -> None:
         self.server.script = steps
         self.server.call_count = 0
         self.server.requests.clear()
 
+    def drop_connections(self) -> None:
+        """Close every open connection from the server side, as an endpoint
+        does with keep-alive connections it has let idle too long."""
+        with self.server.lock:
+            for connection in self.server.open_connections:
+                with contextlib.suppress(OSError):  # the client may have gone already
+                    connection.shutdown(socket.SHUT_RDWR)
+
     def close(self) -> None:
         self.server.shutdown()
+        self.drop_connections()
         self.server.server_close()
 
 
 @pytest.fixture
 def stub_server():
     server = StubServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = StubServer(keep_alive=True)
     yield server
     server.close()

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import kbforge
 from kbforge.cli import DEFAULT_CONFIG, OVERRIDES, artifact_dir, build_config, build_parser, main
 from kbforge.detectors import LlmEndpointConfig, RuleOracleConfig
 from kbforge.forest_rank import ForestParams
@@ -105,10 +111,11 @@ class TestValidation:
             ({"forest": {"bootstrap": "no"}}, ("rank", "--synth")),
             (None, ("synth", "--dataset", __file__)),
             ({"eval": {"kb_configs": []}}, ("eval", "--n-per-class", "5")),
+            ({"backend": {"llm": {"base_url": "localhost:11434"}}}, ("eval", "--backend", "llm")),
         ],
         ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
              "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset",
-             "no-kb-configs"],
+             "no-kb-configs", "base-url-no-scheme"],
     )
     def test_invalid_config_exit_2_before_any_work(self, tmp_path, capsys, file_config, argv):
         out = tmp_path / "out"
@@ -242,6 +249,16 @@ class TestPipelines:
         reports = list(rank_dir.glob("importance_*.json"))
         assert len(reports) == 4
 
+    def test_eval_llm_closes_its_keep_alive_connections(self, tmp_path, keep_alive_server):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run_cli("eval", "--backend", "llm", "--synth", "--kb-source", "canonical",
+                           "--n-per-attack", "5", "--n-per-class", "2",
+                           "--base-url", keep_alive_server.base_url, "--out", str(tmp_path)) == 0
+            gc.collect()
+        assert len(keep_alive_server.requests) == 3 * 4 * 2
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_eval_rule_oracle_jitter_zero_all_cells_100(self, tmp_path, capsys):
         assert run_cli("eval", "--backend", "rule-oracle", "--synth",
                        "--n-per-attack", "30", "--jitter", "0.0",
@@ -323,3 +340,24 @@ class TestEnvAndLock:
         assert code == 1
         (directory / ".lock").unlink()
         assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 0
+
+
+class TestDependencies:
+    """The CLI starts on the standard library plus numpy; an HTTP library
+    imported at start-up would cost every run, rank and rule-oracle eval too."""
+
+    def test_cli_import_loads_no_http_library(self):
+        src = Path(kbforge.__file__).resolve().parents[1]
+        code = "import kbforge.cli, sys; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        dependencies = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+        assert [re.split(r"[<>=!~ ;\[]", d, maxsplit=1)[0] for d in dependencies] == ["numpy"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import socket
 import time
+from email.utils import formatdate
 
 import pytest
 
@@ -24,6 +26,7 @@ from kbforge.detectors import (
     rule_oracle_classify,
     rule_oracle_scores,
 )
+from kbforge.evaluation import evaluate
 from kbforge.flow_data import AttackLabel
 from kbforge.kb_builder import structured_kb
 from kbforge.prompting import record_digest
@@ -229,6 +232,48 @@ class TestLlmDetector:
         assert result.predicted is AttackLabel.NORMAL
         assert len(stub_server.requests) == 2
 
+    def test_rate_limit_http_date_retry_after(self, stub_server):
+        # HTTP-dates have whole-second resolution, so the wait is at most 1 s.
+        stub_server.set_script(
+            [
+                {"status": 429, "raw": "slow down",
+                 "headers": {"Retry-After": formatdate(time.time() + 1.0, usegmt=True)}},
+                {"status": 200, "json": {"response": "Normal"}},
+            ]
+        )
+        start = time.perf_counter()
+        result = llm_classify(icmp_flow(), None, self._config(stub_server, backoff_base_s=5.0))
+        assert time.perf_counter() - start < 2.5
+        assert result.predicted is AttackLabel.NORMAL
+        assert len(stub_server.requests) == 2
+
+    def test_connections_are_kept_alive_up_to_max_in_flight(self, keep_alive_server):
+        detector = LlmDetector(self._config(keep_alive_server, max_in_flight=2))
+        records = [icmp_flow() for _ in range(40)]
+        try:
+            cm = evaluate(detector, records, workers=4)
+        finally:
+            detector.close()
+        assert cm.total == 40
+        assert len(keep_alive_server.requests) == 40
+        assert 1 <= keep_alive_server.connections_opened <= 2
+
+    def test_connection_closed_by_server_while_idle_is_not_a_retry(self, keep_alive_server):
+        detector = LlmDetector(self._config(keep_alive_server, backoff_base_s=5.0))
+        try:
+            detector.classify(icmp_flow())
+            (idle,) = detector._idle
+            assert idle.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            keep_alive_server.drop_connections()
+            start = time.perf_counter()
+            result = detector.classify(icmp_flow())
+            assert time.perf_counter() - start < 1.0
+        finally:
+            detector.close()
+        assert result.predicted is AttackLabel.NORMAL
+        assert len(keep_alive_server.requests) == 2
+        assert keep_alive_server.connections_opened == 2
+
     def test_timeout_raises_timeout_kind(self, stub_server):
         stub_server.set_script(
             [{"status": 200, "json": {"response": "Normal"}, "delay": 1.0}] * 2
@@ -273,6 +318,9 @@ class TestLlmDetector:
             LlmEndpointConfig(temperature=-0.1)
         with pytest.raises(ValueError):
             LlmEndpointConfig(api="grpc")
+        for base_url in ("localhost:11434", "ftp://localhost", "http://", "http://h:99999"):
+            with pytest.raises(ValueError):
+                LlmEndpointConfig(base_url=base_url)
 
 
 class TestReplay:

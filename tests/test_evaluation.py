@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from kbforge.canonical import REFERENCE_ACCURACY, REFERENCE_PROFILES
-from kbforge.detectors import RuleOracleDetector, TransportError
+from kbforge.detectors import (
+    EndpointStatusError,
+    LlmDetector,
+    LlmEndpointConfig,
+    RuleOracleDetector,
+    TransportError,
+)
 from kbforge.evaluation import (
     Cell,
     ConfusionMatrix,
@@ -131,22 +139,33 @@ class TestEvaluate:
             backend_id = "flaky"
 
             def __init__(self):
-                self.calls = 0
+                self.calls = itertools.count(1)
 
             def classify(self, record, kb=None):
                 from kbforge.detectors import DetectionResult, EndpointTimeout
 
-                self.calls += 1
-                if self.calls == 1:
+                if next(self.calls) == 1:
                     raise EndpointTimeout("slow")
                 return DetectionResult(record.label, None, 0.0, "flaky")
 
         records, _ = generate_dataset(default_spec(n_per_attack=2, jitter=0.0, seed=3))
-        with pytest.raises(TransportError):
-            evaluate(Flaky(), records, strict=True)
-        cm = evaluate(Flaky(), records, strict=False)
-        assert cm.error_count == 1
-        assert cm.total == len(records) - 1
+        for workers in (1, 4):
+            with pytest.raises(TransportError):
+                evaluate(Flaky(), records, strict=True, workers=workers)
+            cm = evaluate(Flaky(), records, strict=False, workers=workers)
+            assert cm.error_count == 1
+            assert cm.total == len(records) - 1
+
+    def test_threaded_strict_run_stops_requesting_at_first_transport_error(self, stub_server):
+        stub_server.set_script([{"status": 400, "raw": "bad request", "delay": 0.2}])
+        workers = 4
+        detector = LlmDetector(LlmEndpointConfig(
+            base_url=stub_server.base_url, request_timeout_s=2.0, max_in_flight=workers,
+        ))
+        records = [make_record(AttackLabel.UDP_FLOOD) for _ in range(100)]
+        with pytest.raises(EndpointStatusError):
+            evaluate(detector, records, strict=True, workers=workers)
+        assert len(stub_server.requests) <= 2 * workers
 
     def test_worker_count_does_not_change_counts(self):
         records, _ = generate_dataset(default_spec(n_per_attack=20, jitter=0.3, seed=4))
