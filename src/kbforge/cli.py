@@ -12,8 +12,10 @@ overwrites identical bytes, while a changed config gets a fresh directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -217,7 +219,9 @@ def artifact_dir(config: dict) -> Path:
 
 
 class RunLock:
-    """Guards an artifact directory against concurrent CLI runs."""
+    """Guards an artifact directory against concurrent CLI runs with an
+    exclusive flock on its .lock file. The OS drops the lock when its holder
+    exits, so a killed run never blocks the next one; the file stays."""
 
     def __init__(self, directory: Path):
         self.path = directory / ".lock"
@@ -225,18 +229,16 @@ class RunLock:
 
     def __enter__(self) -> "RunLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"another run holds {self.path}; remove the file if that run crashed"
-            ) from None
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
+            raise RuntimeError(f"another run holds {self.path}") from None
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)
+        os.close(self.fd)  # releases the lock
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +308,59 @@ def _text_kb(config: dict, kb_config: evaluation.KbConfig, profiles) -> kb_build
     return kb_builder.render_short_kb(kb_builder.derive_key_features(profiles))
 
 
-def _make_backend(config: dict, kb_config: evaluation.KbConfig, profiles):
+@contextlib.contextmanager
+def _detector(config: dict, profiles):
+    """The run's one detector, closed when the run is done with it."""
     backend = config["backend"]
     if backend["kind"] == "rule-oracle":
         oracle_cfg = detectors.RuleOracleConfig(**backend["rule_oracle"])
-        return detectors.RuleOracleDetector(kb_builder.structured_kb(profiles), oracle_cfg), None
-    if backend["kind"] == "llm":
+        detector = detectors.RuleOracleDetector(kb_builder.structured_kb(profiles), oracle_cfg)
+    elif backend["kind"] == "llm":
         detector = detectors.LlmDetector(
             detectors.LlmEndpointConfig(**backend["llm"]),
             mode=prompting.DescribeMode(config["eval"]["mode"]),
         )
-        return detector, _text_kb(config, kb_config, profiles)
+    else:
+        detector = detectors.ReplayDetector()
+    try:
+        yield detector
+    finally:
+        if isinstance(detector, detectors.LlmDetector):
+            detector.close()  # its idle keep-alive connections
+
+
+def _kb_input(config: dict, kb_config: evaluation.KbConfig, profiles):
+    """What the detector classifies with under a KB configuration: nothing for
+    the rule oracle, which reads the structured KB it was built on; the KB
+    text for the LLM; <store_dir>/<kb_config>.jsonl for replay."""
+    backend = config["backend"]
+    if backend["kind"] == "rule-oracle":
+        return None
+    if backend["kind"] == "llm":
+        return _text_kb(config, kb_config, profiles)
     store_path = Path(backend["replay"]["store_dir"]) / f"{kb_config.value}.jsonl"
     if not store_path.exists():
         raise RuntimeError(f"replay store not found: {store_path}")
-    return detectors.ReplayDetector(detectors.ReplayStore.load(store_path)), None
+    return detectors.ReplayStore.load(store_path)
+
+
+def _parse_record(text: str) -> flow_data.FlowRecord:
+    """The flow a detect --record JSON object gives; unlisted registry features are 0."""
+    try:
+        given = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--record is not valid JSON: {exc}") from None
+    if not isinstance(given, dict):
+        raise ConfigError("--record must be a JSON object of feature values")
+    unknown = given.keys() - flow_data.FEATURE_SET
+    if unknown:
+        raise ConfigError(f"unknown features in --record: {sorted(unknown)}")
+    features = dict.fromkeys(flow_data.FEATURES, 0.0)
+    try:
+        features.update((name, float(value)) for name, value in given.items())
+        return flow_data.FlowRecord(features=features)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad feature value in --record: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +416,20 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> Path:
 
 def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
     if args.record:
-        given = {k: float(v) for k, v in json.loads(args.record).items()}
-        unknown = set(given) - set(flow_data.FEATURES)
-        if unknown:
-            raise ConfigError(f"unknown features in --record: {sorted(unknown)}")
-        features = {name: given.get(name, 0.0) for name in flow_data.FEATURES}
-        records = [flow_data.FlowRecord(features=features)]
+        records = [_parse_record(args.record)]
     elif args.input:
         records, _ = flow_data.load_dataset(args.input, require_labels=False)
     else:
         records = _load_records(config)
     profiles = _resolve_profiles(config)
-    backend, kb = _make_backend(config, KB_VARIANTS[config["kb"]["variant"]][0], profiles)
+    kb = _kb_input(config, KB_VARIANTS[config["kb"]["variant"]][0], profiles)
 
     out = artifact_dir(config) / "detect"
     out.mkdir(parents=True, exist_ok=True)
     lines = []
-    try:
+    with _detector(config, profiles) as detector:
         for record in records:
-            result = backend.classify(record, kb)
+            result = detector.classify(record, kb)
             row = {
                 "digest": prompting.record_digest(record),
                 "true": record.label.render() if record.label else None,
@@ -404,9 +439,6 @@ def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
             }
             lines.append(json.dumps(row))
             print(json.dumps(row))
-    finally:
-        if isinstance(backend, detectors.LlmDetector):
-            backend.close()  # its idle keep-alive connections
     (out / "results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
@@ -417,30 +449,30 @@ def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
         records, n_per_class=config["eval"]["n_per_class"], seed=config["seed"]
     )
     profiles = _resolve_profiles(config, records)
+    # Every KB configuration's input first, so a missing replay store fails
+    # before any artifact is written.
+    kb_configs = [evaluation.KbConfig(name) for name in config["eval"]["kb_configs"]]
+    kb_inputs = [_kb_input(config, kb_config, profiles) for kb_config in kb_configs]
     grid = evaluation.EvaluationGrid()
     out = artifact_dir(config) / "eval"
     confusion_dir = out / "confusion"
     confusion_dir.mkdir(parents=True, exist_ok=True)
 
-    for name in config["eval"]["kb_configs"]:
-        kb_config = evaluation.KbConfig(name)
-        backend, kb = _make_backend(config, kb_config, profiles)
-        try:
+    with _detector(config, profiles) as detector:
+        stem = detector.backend_id.replace(":", "_")
+        for kb_config, kb in zip(kb_configs, kb_inputs):
             cm = evaluation.evaluate(
-                backend,
+                detector,
                 sample,
                 kb,
                 strict=not config["eval"]["best_effort"],
                 workers=config["eval"]["workers"],
             )
-        finally:
-            if isinstance(backend, detectors.LlmDetector):
-                backend.close()  # its idle keep-alive connections
-        (confusion_dir / f"{backend.backend_id.replace(':', '_')}_{kb_config.value}.json").write_text(
-            json.dumps(cm.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-        for attack, cell in evaluation.per_class_cells(cm).items():
-            grid.set(attack, kb_config, backend.backend_id, cell)
+            (confusion_dir / f"{stem}_{kb_config.value}.json").write_text(
+                json.dumps(cm.to_dict(), indent=2) + "\n", encoding="utf-8"
+            )
+            for attack, cell in evaluation.per_class_cells(cm).items():
+                grid.set(attack, kb_config, detector.backend_id, cell)
 
     evaluation.write_grid_artifacts(grid, out)
     text, _, _ = evaluation.render_table(grid)

@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 
 from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord
 from .kb_builder import InRange, KnowledgeBase, MandatoryEquals, StructuredKb, TypicalNear
-from .prompting import DescribeMode, QualitativeThresholds, build_prompt, parse_response, record_digest
+from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
 
 class DetectorError(Exception):
@@ -237,11 +237,9 @@ class LlmDetector:
         self,
         config: LlmEndpointConfig = LlmEndpointConfig(),
         mode: DescribeMode = DescribeMode.QUALITATIVE,
-        thresholds: QualitativeThresholds = QualitativeThresholds(),
     ):
         self.config = config
         self.mode = mode
-        self.thresholds = thresholds
         self.backend_id = f"llm:{config.model_name}"
         self._gate = threading.Semaphore(config.max_in_flight)
         url = urlsplit(config.base_url)
@@ -354,7 +352,7 @@ class LlmDetector:
         raise last
 
     def classify(self, record: FlowRecord, kb: KnowledgeBase | None = None) -> DetectionResult:
-        prompt = build_prompt(record, kb, self.mode, self.thresholds)
+        prompt = build_prompt(record, kb, self.mode)
         with self._gate:
             text, latency = self._request_with_retries(prompt.text)
         return DetectionResult(
@@ -363,20 +361,6 @@ class LlmDetector:
             latency_ms=latency,
             backend_id=self.backend_id,
         )
-
-
-def llm_classify(
-    record: FlowRecord,
-    kb: KnowledgeBase | None,
-    config: LlmEndpointConfig,
-    mode: DescribeMode = DescribeMode.QUALITATIVE,
-) -> DetectionResult:
-    """One-shot convenience wrapper around LlmDetector."""
-    detector = LlmDetector(config, mode=mode)
-    try:
-        return detector.classify(record, kb)
-    finally:
-        detector.close()
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +413,20 @@ class ReplayStore:
         return store
 
 
-def replay_classify(digest: str, store: ReplayStore) -> DetectionResult:
-    """Fail-closed lookup: a digest the store has never seen is an error."""
-    start = time.perf_counter()
-    response, label = store.get(digest)
-    latency = (time.perf_counter() - start) * 1000.0
-    return DetectionResult(
-        predicted=label, raw_response=response, latency_ms=latency, backend_id="replay"
-    )
-
-
 class ReplayDetector:
-    def __init__(self, store: ReplayStore):
-        self.store = store
-        self.backend_id = "replay"
+    """Serves the verdicts of the ReplayStore passed as classify's kb, one
+    store per KB configuration. Fail-closed: a digest the store has never
+    seen is an error."""
 
-    def classify(self, record: FlowRecord, kb=None) -> DetectionResult:
-        return replay_classify(record_digest(record), self.store)
+    backend_id = "replay"
+
+    def classify(self, record: FlowRecord, kb: ReplayStore) -> DetectionResult:
+        start = time.perf_counter()
+        response, label = kb.get(record_digest(record))
+        latency = (time.perf_counter() - start) * 1000.0
+        return DetectionResult(
+            predicted=label, raw_response=response, latency_ms=latency, backend_id=self.backend_id
+        )
 
 
 class RecordingDetector:

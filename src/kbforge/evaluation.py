@@ -3,6 +3,8 @@ attack-by-KB-configuration grid, and best-KB selection."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -41,9 +43,6 @@ class ConfusionMatrix:
         self.counts[(true, predicted)] = self.counts.get((true, predicted), 0) + n
         self.total += n
 
-    def true_classes(self) -> list[AttackLabel]:
-        return sorted({true for true, _ in self.counts}, key=lambda l: l.render())
-
     def to_dict(self) -> dict:
         rows = [
             {"true": true.render(), "predicted": predicted.render(), "count": n}
@@ -52,14 +51,6 @@ class ConfusionMatrix:
             )
         ]
         return {"total": self.total, "error_count": self.error_count, "counts": rows}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ConfusionMatrix":
-        cm = ConfusionMatrix()
-        for row in payload["counts"]:
-            cm.add(canonicalize_label(row["true"]), canonicalize_label(row["predicted"]), row["count"])
-        cm.error_count = payload.get("error_count", 0)
-        return cm
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -81,9 +72,31 @@ def per_class_cells(cm: ConfusionMatrix) -> dict[AttackLabel, Cell]:
     return {label: Cell(correct.get(label, 0) / total, total) for label, total in totals.items()}
 
 
-def per_class_accuracy(cm: ConfusionMatrix) -> dict[AttackLabel, float]:
-    """Recall per true class; classes with no samples are omitted."""
-    return {label: cell.accuracy for label, cell in per_class_cells(cm).items()}
+def _classified(classify, records: list[FlowRecord], workers: int):
+    """One zero-argument call per record that returns classify(record) or
+    raises what it raised. workers <= 1 classifies inline, in record order;
+    more classify on a pool, in completion order, with at most 2 x workers
+    records submitted ahead of the tally, so a strict run stops classifying
+    soon after its first transport error. Closing the generator cancels the
+    records still queued."""
+    if workers <= 1:
+        yield from (functools.partial(classify, record) for record in records)
+        return
+    queue = iter(records)
+    pool = ThreadPoolExecutor(max_workers=workers)
+
+    def submit(n: int) -> set:
+        return {pool.submit(classify, record) for record in itertools.islice(queue, n)}
+
+    try:
+        pending = submit(2 * workers)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield future.result
+            pending |= submit(2 * workers - len(pending))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def evaluate(
@@ -104,45 +117,20 @@ def evaluate(
         if record.label is None:
             raise EvaluationError("evaluate requires every record to be labeled")
 
-    cm = ConfusionMatrix()
-
     def one(record: FlowRecord):
         return record.label, backend.classify(record, kb)
 
-    if workers <= 1:
-        for record in records:
+    cm = ConfusionMatrix()
+    with contextlib.closing(_classified(one, records, workers)) as outcomes:
+        for outcome in outcomes:
             try:
-                result = backend.classify(record, kb)
+                true, result = outcome()
             except TransportError:
                 if strict:
                     raise
                 cm.error_count += 1
                 continue
-            cm.add(record.label, result.predicted)
-        return cm
-
-    # At most 2 x workers records are submitted ahead of the tally, so a strict
-    # run stops classifying soon after its first transport error.
-    window = 2 * workers
-    queue = iter(records)
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        pending = {pool.submit(one, record) for record in itertools.islice(queue, window)}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    true, result = future.result()
-                except TransportError:
-                    if strict:
-                        raise
-                    cm.error_count += 1
-                    continue
-                cm.add(true, result.predicted)
-            refill = itertools.islice(queue, window - len(pending))
-            pending |= {pool.submit(one, record) for record in refill}
-    finally:
-        pool.shutdown(cancel_futures=True)
+            cm.add(true, result.predicted)
     return cm
 
 

@@ -110,47 +110,11 @@ def _normalize(name: str) -> str:
     return re.sub(r"[\s_\-]+", "", name).lower()
 
 
-# Default header aliases: CICIoT 2023 column spellings (including the
-# dataset's "Magnitue" misspelling) mapped onto canonical names. Lookup is
-# case/whitespace/underscore insensitive, so "tot_sum", "Tot Sum" and
-# "Tot sum" all resolve identically.
-_DEFAULT_ALIASES: dict[str, str] = {
-    "flow_duration": "Flow Duration",
-    "header_length": "Header Length",
-    "magnitue": "Magnitude",
-    "fin_flag_number": "FIN Flag Number",
-    "syn_flag_number": "SYN Flag Number",
-    "rst_flag_number": "RST Flag Number",
-    "psh_flag_number": "PSH Flag Number",
-    "ack_flag_number": "ACK Flag Number",
-    "ece_flag_number": "ECE Flag Number",
-    "cwr_flag_number": "CWR Flag Number",
-    "ack_count": "ACK Count",
-    "syn_count": "SYN Count",
-    "fin_count": "FIN Count",
-    "urg_count": "URG Count",
-    "rst_count": "RST Count",
-    "protocol_type": "Protocol Type",
-    "tot_sum": "Tot sum",
-    "tot_size": "Tot size",
-}
-
-
-def _build_alias_table(overrides: dict[str, str] | None = None) -> dict[str, str]:
-    table = {_normalize(f): f for f in FEATURES}
-    for alias, canonical in _DEFAULT_ALIASES.items():
-        table[_normalize(alias)] = canonical
-    if overrides:
-        for alias, canonical in overrides.items():
-            if canonical not in FEATURE_SET:
-                raise DatasetError(f"alias override targets unknown feature: {canonical!r}")
-            table[_normalize(alias)] = canonical
-    return table
-
-
-def resolve_feature(name: str, overrides: dict[str, str] | None = None) -> str | None:
-    """Resolve a raw header name to a canonical feature name, or None."""
-    return _build_alias_table(overrides).get(_normalize(name))
+#: Normalized header name -> canonical feature name. Lookup ignores case,
+#: blanks, "_" and "-", so the CICIoT 2023 spellings "tot_sum", "Tot Sum" and
+#: "Tot sum" all resolve to "Tot sum"; the one alias beyond that is the
+#: dataset's "Magnitue" misspelling.
+_ALIASES: dict[str, str] = {**{_normalize(f): f for f in FEATURES}, "magnitue": "Magnitude"}
 
 
 _LABEL_LOOKUP: dict[str, AttackLabel] = {}
@@ -206,7 +170,6 @@ class DatasetSummary:
 
 def load_dataset(
     path: str | Path,
-    alias_overrides: dict[str, str] | None = None,
     *,
     label_column: str = "label",
     require_labels: bool = True,
@@ -227,7 +190,6 @@ def load_dataset(
         except StopIteration:
             raise DatasetError(f"dataset file has no header row: {path}") from None
 
-        table = _build_alias_table(alias_overrides)
         columns: dict[str, int] = {}
         label_index: int | None = None
         label_norm = _normalize(label_column)
@@ -235,7 +197,7 @@ def load_dataset(
             if _normalize(raw_name) == label_norm:
                 label_index = i
                 continue
-            canonical = table.get(_normalize(raw_name))
+            canonical = _ALIASES.get(_normalize(raw_name))
             if canonical is None:
                 continue  # extra dataset columns are allowed and ignored
             if canonical in columns:

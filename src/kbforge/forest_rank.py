@@ -35,7 +35,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .flow_data import FEATURE_INDEX, FEATURES, AttackLabel, FlowRecord
+from .flow_data import FEATURES, AttackLabel, FlowRecord
 
 
 @dataclass(frozen=True)
@@ -254,18 +254,6 @@ def fit_forest(
     return Forest(trees=tuple(trees), params=params, seed=seed)
 
 
-def _predict_tree(node: TreeNode, row: np.ndarray) -> float:
-    while isinstance(node, Split):
-        node = node.left if row[FEATURE_INDEX[node.feature]] <= node.threshold else node.right
-    return node.value
-
-
-def predict(forest: Forest, record: FlowRecord) -> float:
-    """Mean of per-tree leaf values along each root-to-leaf path."""
-    row = np.array([record.features[name] for name in FEATURES], dtype=np.float64)
-    return float(np.mean([_predict_tree(tree, row) for tree in forest.trees]))
-
-
 @dataclass(frozen=True)
 class ImportanceReport:
     scores: dict[str, float]
@@ -282,14 +270,6 @@ class ImportanceReport:
             "ranking": list(self.ranking),
         }
         return json.dumps(payload, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "ImportanceReport":
-        payload = json.loads(text)
-        return ImportanceReport(
-            scores={k: float(v) for k, v in payload["scores"].items()},
-            ranking=tuple(payload["ranking"]),
-        )
 
     def to_csv(self) -> str:
         """Two-column ranked export, ready for a ranked-bar chart."""

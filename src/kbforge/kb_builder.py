@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Union
 
 from .canonical import LONG_KB_TEXT, SHORT_KB_TEXT
-from .flow_data import ATTACK_LABELS, AttackLabel, canonicalize_label, display_name
+from .flow_data import ATTACK_LABELS, AttackLabel, display_name
 from .profile import AttackProfile, FeatureProfile
 
 #: min == median == max within this tolerance renders as a hard "Has to be" line.
@@ -305,25 +305,6 @@ def structured_kb_to_json(kb: StructuredKb) -> str:
                 )
         payload[label.render()] = rows
     return json.dumps(payload, indent=2) + "\n"
-
-
-def structured_kb_from_json(text: str) -> StructuredKb:
-    per_attack: dict[AttackLabel, tuple[Constraint, ...]] = {}
-    for raw_label, rows in json.loads(text).items():
-        constraints: list[Constraint] = []
-        for row in rows:
-            if row["kind"] == "mandatory_equals":
-                constraints.append(
-                    MandatoryEquals(row["feature"], row["value"], row["tolerance"])
-                )
-            elif row["kind"] == "in_range":
-                constraints.append(InRange(row["feature"], row["lo"], row["hi"]))
-            elif row["kind"] == "typical_near":
-                constraints.append(TypicalNear(row["feature"], row["value"], row["tolerance"]))
-            else:
-                raise ValueError(f"unknown constraint kind: {row['kind']!r}")
-        per_attack[canonicalize_label(raw_label)] = tuple(constraints)
-    return StructuredKb(per_attack=per_attack)
 
 
 def write_kb(kb: KnowledgeBase, root: str | Path) -> list[Path]:

@@ -47,9 +47,6 @@ class AttackProfile:
         if len(self.ranked_features) > self.k:
             raise ValueError("ranked_features longer than k")
 
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(fp.feature for fp in self.ranked_features)
-
     def get(self, feature: str) -> FeatureProfile | None:
         for fp in self.ranked_features:
             if fp.feature == feature:

@@ -9,7 +9,7 @@ from enum import Enum
 
 from .canonical import PROFILED_FEATURES
 from .flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord, display_name
-from .kb_builder import KbVariant, KnowledgeBase, format_number
+from .kb_builder import KnowledgeBase, format_number
 
 #: The nine answer options, in fixed order. The corrected spelling "Unknown"
 #: is offered; the parser below also accepts the "Unknow" variant.
@@ -112,7 +112,6 @@ def record_digest(record: FlowRecord) -> str:
 @dataclass(frozen=True)
 class Prompt:
     text: str
-    kb_variant: KbVariant | None
 
 
 def build_prompt(
@@ -127,10 +126,7 @@ def build_prompt(
         sections.append("Knowledge Base:\n" + kb.combined_text())
     sections.append("Network Traffic Data:\n" + describe_flow(record, mode, thresholds))
     sections.append(INSTRUCTION)
-    return Prompt(
-        text="\n\n".join(sections),
-        kb_variant=kb.variant if kb is not None else None,
-    )
+    return Prompt(text="\n\n".join(sections))
 
 
 def _label_pattern(label: AttackLabel) -> re.Pattern:

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from kbforge.detectors import LlmDetector
 from kbforge.flow_data import FEATURES, AttackLabel, FlowRecord
 
 
@@ -134,3 +135,17 @@ def keep_alive_server():
     server = StubServer(keep_alive=True)
     yield server
     server.close()
+
+
+@pytest.fixture
+def llm_detector():
+    """Builds LlmDetectors and closes each one when the test ends."""
+    made: list[LlmDetector] = []
+
+    def make(config) -> LlmDetector:
+        made.append(LlmDetector(config))
+        return made[-1]
+
+    yield make
+    for detector in made:
+        detector.close()

@@ -20,7 +20,6 @@ from kbforge.detectors import (
     EndpointStatusError,
     LlmEndpointConfig,
     RuleOracleDetector,
-    llm_classify,
 )
 from kbforge.evaluation import (
     Cell,
@@ -30,7 +29,7 @@ from kbforge.evaluation import (
     accuracy,
     evaluate,
     grid_from_reference,
-    per_class_accuracy,
+    per_class_cells,
     select_best_kb,
 )
 from kbforge.flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord
@@ -117,11 +116,12 @@ def test_03_accuracy_identities():
             for true in labels:
                 for predicted in labels:
                     random_cm.add(true, predicted, int(rng.integers(0, 50)))
-            per_class = per_class_accuracy(random_cm)
+            per_class = per_class_cells(random_cm)
             weights: dict[AttackLabel, int] = {}
             for (true, _), n in random_cm.counts.items():
                 weights[true] = weights.get(true, 0) + n
-            weighted_mean = sum(per_class[c] * weights[c] for c in per_class) / random_cm.total
+            assert {c: cell.n for c, cell in per_class.items()} == weights
+            weighted_mean = sum(cell.accuracy * cell.n for cell in per_class.values()) / random_cm.total
             assert abs(accuracy(random_cm) - weighted_mean) < 1e-12
 
 
@@ -235,8 +235,8 @@ def test_06_rule_oracle_round_trip():
 
         exact, _ = generate_dataset(default_spec(n_per_attack=200, jitter=0.0, seed=31))
         cm = evaluate(backend, exact)
-        for label, acc in per_class_accuracy(cm).items():
-            assert acc == 1.0, f"jitter 0: {label.render()} at {acc}"
+        for label, cell in per_class_cells(cm).items():
+            assert cell.accuracy == 1.0, f"jitter 0: {label.render()} at {cell.accuracy}"
 
         jittered, _ = generate_dataset(default_spec(n_per_attack=200, jitter=0.3, seed=31))
         cm = evaluate(backend, jittered)
@@ -244,7 +244,7 @@ def test_06_rule_oracle_round_trip():
         assert accuracy(cm) >= 0.99
 
 
-def test_07_wire_protocol_conformance(stub_server):
+def test_07_wire_protocol_conformance(stub_server, llm_detector):
     with _Gate("07 wire-protocol-conformance"):
         record = make_record(None, **{"Protocol Type": 6.0, "Rate": 450.0})
         config = LlmEndpointConfig(
@@ -258,7 +258,7 @@ def test_07_wire_protocol_conformance(stub_server):
 
         # request schema, field for field
         stub_server.set_script([{"status": 200, "json": {"response": "DDoS-ICMP_Flood"}}])
-        result = llm_classify(record, None, config)
+        result = llm_detector(config).classify(record)
         assert result.predicted is ICMP
         body = stub_server.requests[0]["body"]
         assert stub_server.requests[0]["path"] == "/api/generate"
@@ -275,7 +275,7 @@ def test_07_wire_protocol_conformance(stub_server):
             {"status": 200, "json": {"response": "DDoS-UDP_Flood"}},
         ]
         stub_server.set_script(scripted)
-        assert llm_classify(record, None, config).predicted is UDP
+        assert llm_detector(config).classify(record).predicted is UDP
         stub_server.set_script(scripted)
         one_retry = LlmEndpointConfig(
             base_url=stub_server.base_url,
@@ -284,7 +284,7 @@ def test_07_wire_protocol_conformance(stub_server):
             backoff_base_s=0.01,
         )
         with pytest.raises(EndpointStatusError):
-            llm_classify(record, None, one_retry)
+            llm_detector(one_retry).classify(record)
 
         # timeout honored
         from kbforge.detectors import EndpointTimeout
@@ -297,7 +297,7 @@ def test_07_wire_protocol_conformance(stub_server):
             backoff_base_s=0.01,
         )
         with pytest.raises(EndpointTimeout):
-            llm_classify(record, None, tight)
+            llm_detector(tight).classify(record)
 
         # fixture responses parse to the expected labels
         fixtures = [
@@ -308,7 +308,7 @@ def test_07_wire_protocol_conformance(stub_server):
         ]
         for text, expected in fixtures:
             stub_server.set_script([{"status": 200, "json": {"response": text}}])
-            assert llm_classify(record, None, config).predicted is expected
+            assert llm_detector(config).classify(record).predicted is expected
 
 
 def test_08_artifact_determinism(tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import fcntl
 import gc
 import json
 import os
@@ -14,8 +16,11 @@ import pytest
 
 import kbforge
 from kbforge.cli import DEFAULT_CONFIG, OVERRIDES, artifact_dir, build_config, build_parser, main
-from kbforge.detectors import LlmEndpointConfig, RuleOracleConfig
+from kbforge.detectors import LlmEndpointConfig, ReplayStore, RuleOracleConfig
+from kbforge.flow_data import AttackLabel, stratified_sample
 from kbforge.forest_rank import ForestParams
+from kbforge.prompting import record_digest
+from kbforge.synth_traffic import default_spec, generate_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -249,15 +254,78 @@ class TestPipelines:
         reports = list(rank_dir.glob("importance_*.json"))
         assert len(reports) == 4
 
-    def test_eval_llm_closes_its_keep_alive_connections(self, tmp_path, keep_alive_server):
+    def _eval_llm(self, tmp_path, server, file_config: dict) -> None:
+        """One llm eval over 3 KB configs x 4 attacks x 2 records; its
+        connections are closed once it returns."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(file_config), encoding="utf-8")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             assert run_cli("eval", "--backend", "llm", "--synth", "--kb-source", "canonical",
-                           "--n-per-attack", "5", "--n-per-class", "2",
-                           "--base-url", keep_alive_server.base_url, "--out", str(tmp_path)) == 0
+                           "--n-per-attack", "5", "--n-per-class", "2", "--config", str(config),
+                           "--base-url", server.base_url, "--out", str(tmp_path / "out")) == 0
             gc.collect()
-        assert len(keep_alive_server.requests) == 3 * 4 * 2
+        assert len(server.requests) == 3 * 4 * 2
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_eval_llm_closes_its_keep_alive_connections(self, tmp_path, keep_alive_server):
+        # One detector serves every KB config, so a sequential run needs one connection.
+        self._eval_llm(tmp_path, keep_alive_server, {})
+        assert keep_alive_server.connections_opened == 1
+
+    def test_threaded_eval_llm_opens_at_most_max_in_flight_connections(
+        self, tmp_path, keep_alive_server
+    ):
+        self._eval_llm(tmp_path, keep_alive_server,
+                       {"eval": {"workers": 2}, "backend": {"llm": {"max_in_flight": 2}}})
+        assert 1 <= keep_alive_server.connections_opened <= 2
+
+    def _replay_eval(self, tmp_path) -> tuple[list[str], dict]:
+        """An `eval --backend replay` argv whose store directory holds one
+        store per KB config, each with its own verdicts over the sample the
+        run draws, and the grid accuracies those verdicts give."""
+        store_dir = tmp_path / "stores"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"backend": {"replay": {"store_dir": str(store_dir)}}}),
+                          encoding="utf-8")
+        argv = ["eval", "--backend", "replay", "--config", str(config), "--synth", "--n-per-attack", "12",
+                "--n-per-class", "6", "--seed", "4", "--out", str(tmp_path / "out")]
+        run = build_config(build_parser().parse_args(argv))
+        records, _ = generate_dataset(default_spec(seed=run["seed"], **run["data"]["synth"]))
+        sample = stratified_sample(records, run["eval"]["n_per_class"], seed=run["seed"])
+        verdicts = {
+            "no_kb": lambda i, r: r.label,
+            "long_kb": lambda i, r: AttackLabel.UDP_FLOOD,
+            "short_kb": lambda i, r: r.label if i % 3 else AttackLabel.UNKNOWN,
+        }
+        hits: dict = {}
+        for kb_config, verdict in verdicts.items():
+            store = ReplayStore()
+            for i, record in enumerate(sample):
+                label = verdict(i, record)
+                store.record(record_digest(record), None, label)
+                hits.setdefault((record.label.render(), kb_config), []).append(label is record.label)
+            store.save(store_dir / f"{kb_config}.jsonl")
+        return argv, {key: sum(h) / len(h) for key, h in hits.items()}
+
+    def test_eval_replay_grid_equals_stored_labels(self, tmp_path):
+        argv, expected = self._replay_eval(tmp_path)
+        assert len(expected) == 4 * 3 and len(set(expected.values())) > 2
+        assert run_cli(*argv) == 0
+        grid_path = artifact_root(tmp_path / "out") / "eval" / "grid.json"
+        cells = json.loads(grid_path.read_text(encoding="utf-8"))["cells"]
+        assert {(c["attack"], c["kb_config"]): c["accuracy"] for c in cells} == expected
+        assert {c["backend_id"] for c in cells} == {"replay"}
+
+    def test_eval_replay_missing_store_fails_before_any_eval_artifact(self, tmp_path, capsys):
+        argv, _ = self._replay_eval(tmp_path)
+        missing = tmp_path / "stores" / "short_kb.jsonl"
+        missing.unlink()
+        assert run_cli(*argv) == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"]["kind"] == "RuntimeError"
+        assert str(missing) in report["error"]["message"]
+        assert not (artifact_root(tmp_path / "out") / "eval").exists()
 
     def test_eval_rule_oracle_jitter_zero_all_cells_100(self, tmp_path, capsys):
         assert run_cli("eval", "--backend", "rule-oracle", "--synth",
@@ -306,10 +374,17 @@ class TestPipelines:
         assert line["predicted"] == "DDoS-ICMP_Flood"
         assert line["backend_id"] == "rule-oracle"
 
-    def test_detect_rejects_unknown_feature(self, tmp_path):
-        code = run_cli("detect", "--record", json.dumps({"nonsense": 1.0}),
-                       "--backend", "rule-oracle", "--out", str(tmp_path))
+    @pytest.mark.parametrize(
+        "record",
+        ['[1]', 'not json', '{"Rate": "abc"}', '{"Rate": "nan"}', '{"Rate": null}', '{"nonsense": 1.0}'],
+        ids=["not-an-object", "not-json", "string-value", "nan-value", "null-value", "unknown-feature"],
+    )
+    def test_detect_rejects_malformed_record(self, tmp_path, capsys, record):
+        code = run_cli("detect", "--record", record, "--backend", "rule-oracle", "--out", str(tmp_path))
         assert code == 2
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"]["kind"] == "config"
+        assert "--record" in report["error"]["message"]
 
 
 class TestEnvAndLock:
@@ -325,20 +400,43 @@ class TestEnvAndLock:
         assert (tmp_path / "flagged").exists()
         assert not (tmp_path / "enved").exists()
 
-    def test_lockfile_blocks_concurrent_run(self, tmp_path):
-        import copy
-
-        from kbforge.cli import DEFAULT_CONFIG, artifact_dir
-
+    def _run_dir(self, tmp_path) -> Path:
         config = copy.deepcopy(DEFAULT_CONFIG)
         config["out"] = str(tmp_path)
         config["data"]["synth"]["n_per_attack"] = 10
         directory = artifact_dir(config)
         directory.mkdir(parents=True)
-        (directory / ".lock").touch()
-        code = run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path))
-        assert code == 1
-        (directory / ".lock").unlink()
+        return directory
+
+    def test_lockfile_blocks_concurrent_run(self, tmp_path):
+        lock = self._run_dir(tmp_path) / ".lock"
+        # flock treats each open file description apart, even in one process.
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 1
+        finally:
+            os.close(fd)
+        assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 0
+
+    def test_lock_of_a_killed_run_does_not_block(self, tmp_path):
+        directory = self._run_dir(tmp_path)
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time; from pathlib import Path; from kbforge.cli import RunLock\n"
+             "with RunLock(Path(sys.argv[1])):\n    print('held', flush=True); time.sleep(60)",
+             str(directory)],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(kbforge.__file__).resolve().parents[1])},
+        )
+        try:
+            assert holder.stdout.readline() == "held\n"
+            assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 1
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+        assert (directory / ".lock").exists()  # SIGKILL left the file behind
         assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 0
 
 

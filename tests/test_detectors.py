@@ -21,8 +21,6 @@ from kbforge.detectors import (
     ReplayStore,
     RuleOracleConfig,
     RuleOracleDetector,
-    llm_classify,
-    replay_classify,
     rule_oracle_classify,
     rule_oracle_scores,
 )
@@ -153,9 +151,9 @@ class TestLlmDetector:
         defaults.update(overrides)
         return LlmEndpointConfig(**defaults)
 
-    def test_generate_wire_format(self, stub_server):
+    def test_generate_wire_format(self, stub_server, llm_detector):
         stub_server.set_script([{"status": 200, "json": {"response": "DDoS-ICMP_Flood"}}])
-        result = llm_classify(icmp_flow(), None, self._config(stub_server))
+        result = llm_detector(self._config(stub_server)).classify(icmp_flow())
         assert result.predicted is AttackLabel.ICMP_FLOOD
         assert result.raw_response == "DDoS-ICMP_Flood"
         request = stub_server.requests[0]
@@ -168,13 +166,13 @@ class TestLlmDetector:
         assert set(body["options"]) == {"temperature"}
         assert body["options"]["temperature"] == 0.0
 
-    def test_chat_wire_format(self, stub_server):
+    def test_chat_wire_format(self, stub_server, llm_detector):
         stub_server.set_script(
             [{"status": 200,
               "json": {"choices": [{"message": {"content": "DDoS-UDP_Flood"}}]}}]
         )
         config = self._config(stub_server, api="chat")
-        result = llm_classify(icmp_flow(), None, config)
+        result = llm_detector(config).classify(icmp_flow())
         assert result.predicted is AttackLabel.UDP_FLOOD
         request = stub_server.requests[0]
         assert request["path"] == "/v1/chat/completions"
@@ -182,7 +180,7 @@ class TestLlmDetector:
         assert set(body) == {"model", "messages", "temperature"}
         assert body["messages"][0]["role"] == "user"
 
-    def test_retry_succeeds_after_two_transient_failures(self, stub_server):
+    def test_retry_succeeds_after_two_transient_failures(self, stub_server, llm_detector):
         stub_server.set_script(
             [
                 {"status": 500, "raw": "boom"},
@@ -190,11 +188,11 @@ class TestLlmDetector:
                 {"status": 200, "json": {"response": "Normal"}},
             ]
         )
-        result = llm_classify(icmp_flow(), None, self._config(stub_server, max_retries=2))
+        result = llm_detector(self._config(stub_server, max_retries=2)).classify(icmp_flow())
         assert result.predicted is AttackLabel.NORMAL
         assert len(stub_server.requests) == 3
 
-    def test_insufficient_retries_fail(self, stub_server):
+    def test_insufficient_retries_fail(self, stub_server, llm_detector):
         stub_server.set_script(
             [
                 {"status": 500, "raw": "boom"},
@@ -203,14 +201,14 @@ class TestLlmDetector:
             ]
         )
         with pytest.raises(EndpointStatusError):
-            llm_classify(icmp_flow(), None, self._config(stub_server, max_retries=1))
+            llm_detector(self._config(stub_server, max_retries=1)).classify(icmp_flow())
         assert len(stub_server.requests) == 2
 
-    def test_client_error_is_not_retried(self, stub_server):
+    def test_client_error_is_not_retried(self, stub_server, llm_detector):
         for status in (400, 404):
             stub_server.set_script([{"status": status, "raw": "nope"}])
             with pytest.raises(EndpointStatusError) as info:
-                llm_classify(icmp_flow(), None, self._config(stub_server, max_retries=3))
+                llm_detector(self._config(stub_server, max_retries=3)).classify(icmp_flow())
             assert info.value.status == status
             assert len(stub_server.requests) == 1
 
@@ -219,7 +217,9 @@ class TestLlmDetector:
         [("0", {"backoff_base_s": 5.0}), ("3600", {"request_timeout_s": 0.3})],
         ids=["header-beats-backoff", "capped-at-timeout"],
     )
-    def test_rate_limit_is_retried_as_the_header_asks(self, stub_server, retry_after, overrides):
+    def test_rate_limit_is_retried_as_the_header_asks(
+        self, stub_server, llm_detector, retry_after, overrides
+    ):
         stub_server.set_script(
             [
                 {"status": 429, "raw": "slow down", "headers": {"Retry-After": retry_after}},
@@ -227,12 +227,12 @@ class TestLlmDetector:
             ]
         )
         start = time.perf_counter()
-        result = llm_classify(icmp_flow(), None, self._config(stub_server, **overrides))
+        result = llm_detector(self._config(stub_server, **overrides)).classify(icmp_flow())
         assert time.perf_counter() - start < 2.0
         assert result.predicted is AttackLabel.NORMAL
         assert len(stub_server.requests) == 2
 
-    def test_rate_limit_http_date_retry_after(self, stub_server):
+    def test_rate_limit_http_date_retry_after(self, stub_server, llm_detector):
         # HTTP-dates have whole-second resolution, so the wait is at most 1 s.
         stub_server.set_script(
             [
@@ -242,7 +242,7 @@ class TestLlmDetector:
             ]
         )
         start = time.perf_counter()
-        result = llm_classify(icmp_flow(), None, self._config(stub_server, backoff_base_s=5.0))
+        result = llm_detector(self._config(stub_server, backoff_base_s=5.0)).classify(icmp_flow())
         assert time.perf_counter() - start < 2.5
         assert result.predicted is AttackLabel.NORMAL
         assert len(stub_server.requests) == 2
@@ -274,15 +274,15 @@ class TestLlmDetector:
         assert len(keep_alive_server.requests) == 2
         assert keep_alive_server.connections_opened == 2
 
-    def test_timeout_raises_timeout_kind(self, stub_server):
+    def test_timeout_raises_timeout_kind(self, stub_server, llm_detector):
         stub_server.set_script(
             [{"status": 200, "json": {"response": "Normal"}, "delay": 1.0}] * 2
         )
         config = self._config(stub_server, request_timeout_s=0.2, max_retries=1)
         with pytest.raises(EndpointTimeout):
-            llm_classify(icmp_flow(), None, config)
+            llm_detector(config).classify(icmp_flow())
 
-    def test_unreachable_endpoint_is_connection_error(self):
+    def test_unreachable_endpoint_is_connection_error(self, llm_detector):
         config = LlmEndpointConfig(
             base_url="http://127.0.0.1:9",  # discard port; nothing listens
             request_timeout_s=0.5,
@@ -290,21 +290,21 @@ class TestLlmDetector:
             backoff_base_s=0.01,
         )
         with pytest.raises(EndpointConnectionError):
-            llm_classify(icmp_flow(), None, config)
+            llm_detector(config).classify(icmp_flow())
 
-    def test_malformed_body_is_protocol_error(self, stub_server):
+    def test_malformed_body_is_protocol_error(self, stub_server, llm_detector):
         stub_server.set_script([{"status": 200, "json": {"unexpected": 1}}])
         with pytest.raises(EndpointProtocolError):
-            llm_classify(icmp_flow(), None, self._config(stub_server))
+            llm_detector(self._config(stub_server)).classify(icmp_flow())
 
-    def test_unparseable_text_maps_to_unknown_not_error(self, stub_server):
+    def test_unparseable_text_maps_to_unknown_not_error(self, stub_server, llm_detector):
         stub_server.set_script([{"status": 200, "json": {"response": "no idea, sorry"}}])
-        result = llm_classify(icmp_flow(), None, self._config(stub_server))
+        result = llm_detector(self._config(stub_server)).classify(icmp_flow())
         assert result.predicted is AttackLabel.UNKNOWN
 
-    def test_temperature_zero_is_reproducible_against_stub(self, stub_server):
+    def test_temperature_zero_is_reproducible_against_stub(self, stub_server, llm_detector):
         stub_server.set_script([{"status": 200, "json": {"response": "DDoS-TCP_Flood"}}])
-        detector = LlmDetector(self._config(stub_server))
+        detector = llm_detector(self._config(stub_server))
         first = detector.classify(icmp_flow())
         second = detector.classify(icmp_flow())
         assert first.predicted is second.predicted is AttackLabel.TCP_FLOOD
@@ -333,22 +333,22 @@ class TestReplay:
         store.save(path)
         loaded = ReplayStore.load(path)
         for record in records:
-            result = replay_classify(record_digest(record), loaded)
+            result = ReplayDetector().classify(record, loaded)
             assert result.predicted is record.label
             assert result.raw_response == "stored text"
 
     def test_missing_digest_fails_closed(self):
         with pytest.raises(ReplayMissError):
-            replay_classify("deadbeef", ReplayStore())
+            ReplayDetector().classify(icmp_flow(), ReplayStore())
 
-    def test_detector_and_recorder(self, stub_server):
+    def test_detector_and_recorder(self, stub_server, llm_detector):
         stub_server.set_script([{"status": 200, "json": {"response": "DDoS-UDP_Flood"}}])
         store = ReplayStore()
-        llm = LlmDetector(
+        llm = llm_detector(
             LlmEndpointConfig(base_url=stub_server.base_url, request_timeout_s=2.0,
                               backoff_base_s=0.01)
         )
         recording = RecordingDetector(llm, store)
         live = recording.classify(icmp_flow())
-        replayed = ReplayDetector(store).classify(icmp_flow())
+        replayed = ReplayDetector().classify(icmp_flow(), store)
         assert live.predicted is replayed.predicted is AttackLabel.UDP_FLOOD

@@ -22,7 +22,6 @@ from kbforge.evaluation import (
     accuracy,
     evaluate,
     grid_from_reference,
-    per_class_accuracy,
     per_class_cells,
     render_table,
     select_best_kb,
@@ -75,17 +74,17 @@ class TestAccuracy:
 class TestPerClassAccuracy:
     def test_diagonal_only(self):
         cm = cm_of((ICMP, ICMP), (UDP, UDP), (UDP, UDP))
-        assert per_class_accuracy(cm) == {ICMP: 1.0, UDP: 1.0}
+        assert per_class_cells(cm) == {ICMP: Cell(1.0, 1), UDP: Cell(1.0, 2)}
 
     def test_partial(self):
         pairs = [(ICMP, ICMP)] * 489 + [(ICMP, UDP)] * 11
         cm = cm_of(*pairs)
-        assert per_class_accuracy(cm)[ICMP] == pytest.approx(0.978)
+        assert per_class_cells(cm)[ICMP].accuracy == pytest.approx(0.978)
         assert per_class_cells(cm)[ICMP] == Cell(489 / 500, 500)
 
     def test_absent_class_omitted(self):
         cm = cm_of((ICMP, ICMP))
-        assert TCP not in per_class_accuracy(cm)
+        assert TCP not in per_class_cells(cm)
 
     def test_overall_is_weighted_mean_of_per_class(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -95,11 +94,12 @@ class TestPerClassAccuracy:
             for true in labels:
                 for predicted in labels:
                     cm.add(true, predicted, int(rng.integers(0, 40)))
-            per_class = per_class_accuracy(cm)
+            per_class = per_class_cells(cm)
             weights = {}
             for (true, _), n in cm.counts.items():
                 weights[true] = weights.get(true, 0) + n
-            weighted = sum(per_class[c] * weights[c] for c in per_class) / cm.total
+            assert {c: cell.n for c, cell in per_class.items()} == weights
+            weighted = sum(cell.accuracy * cell.n for cell in per_class.values()) / cm.total
             assert abs(accuracy(cm) - weighted) < 1e-12
 
 

@@ -14,7 +14,6 @@ from kbforge.flow_data import (
     FlowRecord,
     canonicalize_label,
     load_dataset,
-    resolve_feature,
     stratified_sample,
     write_dataset,
 )
@@ -64,24 +63,30 @@ class TestRegistry:
 
 
 class TestAliases:
-    def test_display_spellings_resolve(self):
-        for name in ("Tot sum", "Tot size", "Magnitude", "IAT", "Min", "Max"):
-            assert resolve_feature(name) == name
+    """Header spellings resolve to registry features through load_dataset."""
 
-    def test_dataset_spellings(self):
-        assert resolve_feature("Magnitue") == "Magnitude"
-        assert resolve_feature("flow_duration") == "Flow Duration"
-        assert resolve_feature("syn_flag_number") == "SYN Flag Number"
-        assert resolve_feature("tot_sum") == "Tot sum"
+    def _assert_resolves(self, tmp_path, spellings: dict[str, str]) -> None:
+        # Registry-ordered header, each feature spelled as given; column i holds i.
+        header = [spellings.get(name, name) for name in FEATURES]
+        row = [str(i) for i in range(len(FEATURES))]
+        path = tmp_path / "aliases.csv"
+        path.write_text(
+            ",".join([*header, "label"]) + "\n" + ",".join([*row, "Normal"]) + "\n", encoding="utf-8"
+        )
+        (record,), _ = load_dataset(path)
+        assert record.features == {name: float(i) for i, name in enumerate(FEATURES)}
 
-    def test_case_and_separator_insensitive(self):
-        assert resolve_feature("TOT_SUM") == "Tot sum"
-        assert resolve_feature("header length") == "Header Length"
+    def test_display_spellings_resolve(self, tmp_path):
+        self._assert_resolves(tmp_path, {})
 
-    def test_override(self):
-        assert resolve_feature("weird_col", {"weird_col": "IAT"}) == "IAT"
-        with pytest.raises(DatasetError):
-            resolve_feature("x", {"x": "not-a-feature"})
+    def test_dataset_spellings(self, tmp_path):
+        self._assert_resolves(tmp_path, {
+            "Magnitude": "Magnitue", "Flow Duration": "flow_duration",
+            "SYN Flag Number": "syn_flag_number", "Tot sum": "tot_sum",
+        })
+
+    def test_case_and_separator_insensitive(self, tmp_path):
+        self._assert_resolves(tmp_path, {"Tot sum": "TOT_SUM", "Header Length": "header length"})
 
 
 class TestFlowRecord:

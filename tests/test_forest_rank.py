@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,6 @@ from kbforge.forest_rank import (
     TreeNode,
     feature_importance,
     fit_forest,
-    predict,
     rank_features_for_attack,
 )
 
@@ -286,25 +286,6 @@ class TestFitForest:
             walk(tree)
 
 
-class TestPredict:
-    def test_single_leaf_forest(self):
-        forest = Forest(trees=(Leaf(0.5, 10),), params=ForestParams(num_trees=1), seed=0)
-        assert predict(forest, make_record(None)) == 0.5
-
-    def test_mean_of_trees(self):
-        forest = Forest(
-            trees=(Leaf(0.0, 1), Leaf(1.0, 1)), params=ForestParams(num_trees=2), seed=0
-        )
-        assert predict(forest, make_record(None)) == 0.5
-
-    def test_training_data_reproduced_exactly(self):
-        records, targets = two_class_records(30, seed=11)
-        params = ForestParams(num_trees=5, max_depth=30, min_samples_leaf=1, bootstrap=False)
-        forest = fit_forest(records, targets, params, seed=0)
-        for record, target in zip(records, targets):
-            assert predict(forest, record) == target
-
-
 class TestImportance:
     def test_constant_target_all_zero_alphabetical(self):
         records, _ = two_class_records(20)
@@ -384,10 +365,10 @@ class TestRankForAttack:
 
 class TestReportSerialization:
     def test_json_round_trip(self):
-        report = ImportanceReport.from_scores({"Min": 0.75, "Max": 0.25})
-        again = ImportanceReport.from_json(report.to_json())
-        assert again.scores == report.scores
-        assert again.ranking == report.ranking
+        report = ImportanceReport.from_scores({"Min": 0.75, "Max": 1 / 3})
+        payload = json.loads(report.to_json())
+        assert list(payload["scores"]) == ["Max", "Min"]  # sorted by name
+        assert payload == {"scores": report.scores, "ranking": ["Min", "Max"]}
 
     def test_csv_is_ranked(self):
         report = ImportanceReport.from_scores({"Min": 0.25, "Max": 0.75})

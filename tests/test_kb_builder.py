@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ from kbforge.kb_builder import (
     format_number,
     render_long_kb,
     render_short_kb,
+    StructuredKb,
     structured_kb,
-    structured_kb_from_json,
     structured_kb_to_json,
     write_kb,
 )
@@ -219,9 +220,22 @@ class TestStructuredKb:
             structured_kb([])
 
     def test_json_round_trip(self):
-        kb = structured_kb(tuple(REFERENCE_PROFILES.values()))
-        again = structured_kb_from_json(structured_kb_to_json(kb))
-        assert again == kb
+        # Attacks in registry order, constraints in KB order, floats exact.
+        kb = StructuredKb(per_attack={
+            AttackLabel.UDP_FLOOD: (InRange("Rate", 6.0, 1 / 3), TypicalNear("Rate", 0.1, 2.5e-7)),
+            AttackLabel.ICMP_FLOOD: (MandatoryEquals("Protocol Type", 1.0),),
+        })
+        payload = json.loads(structured_kb_to_json(kb))
+        assert list(payload) == ["DDoS-ICMP_Flood", "DDoS-UDP_Flood"]
+        assert payload == {
+            "DDoS-ICMP_Flood": [
+                {"feature": "Protocol Type", "kind": "mandatory_equals", "value": 1.0, "tolerance": 1e-6},
+            ],
+            "DDoS-UDP_Flood": [
+                {"feature": "Rate", "kind": "in_range", "lo": 6.0, "hi": 1 / 3},
+                {"feature": "Rate", "kind": "typical_near", "value": 0.1, "tolerance": 2.5e-7},
+            ],
+        }
 
     def test_profile_rows_satisfy_their_ranges(self):
         # every record used to build a profile stays inside its InRange constraints

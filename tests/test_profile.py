@@ -106,7 +106,7 @@ class TestBuildAttackProfile:
 
     def test_top_k_profiles_attack_rows_only(self):
         profile = build_attack_profile(self._records(), AttackLabel.PSHACK_FLOOD, self._report(), k=2)
-        assert profile.feature_names() == ("PSH Flag Number", "ACK Flag Number")
+        assert [fp.feature for fp in profile.ranked_features] == ["PSH Flag Number", "ACK Flag Number"]
         psh = profile.get("PSH Flag Number")
         ack = profile.get("ACK Flag Number")
         assert psh.median == 1.0

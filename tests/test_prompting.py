@@ -69,7 +69,6 @@ class TestBuildPrompt:
     def test_short_kb_prompt_tail(self):
         kb = canonical_kb(KbVariant.SHORT)
         prompt = build_prompt(tcp_probe_record(), kb)
-        assert prompt.kb_variant is KbVariant.SHORT
         assert prompt.text.count(OPTION_LIST) == 1
         assert prompt.text.rstrip().endswith("Answer with exactly one label.")
         assert "DDoS-SynonymousIP_Flood, Unknown, Normal" in prompt.text
