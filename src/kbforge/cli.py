@@ -246,43 +246,39 @@ class RunLock:
 # ---------------------------------------------------------------------------
 
 
-def _load_records(config: dict) -> list[flow_data.FlowRecord]:
+def _load_table(config: dict) -> flow_data.FlowTable:
     data = config["data"]
     if "synth" in data:
         spec = synth_traffic.default_spec(seed=config["seed"], **data["synth"])
-        records, _ = synth_traffic.generate_dataset(spec)
-        return records
+        table, _ = synth_traffic.generate_dataset(spec)
+        return table
     dataset = data["dataset"]
-    records, _ = flow_data.load_dataset(dataset["path"], label_column=dataset["label_column"])
-    return records
+    table, _ = flow_data.load_dataset(dataset["path"], label_column=dataset["label_column"])
+    return table
 
 
-def _attacks_present(records) -> list[flow_data.AttackLabel]:
-    present = {r.label for r in records if r.label in flow_data.ATTACK_LABELS}
-    return [a for a in flow_data.ATTACK_LABELS if a in present]
-
-
-def _rank_all(config: dict, records) -> dict[flow_data.AttackLabel, forest_rank.ImportanceReport]:
+def _rank_all(config: dict, table) -> dict[flow_data.AttackLabel, forest_rank.ImportanceReport]:
     params = forest_rank.ForestParams(**config["forest"])
     reports = {}
-    for attack in _attacks_present(records):
-        reports[attack] = forest_rank.rank_features_for_attack(
-            records, attack, params=params, seed=config["seed"]
-        )
+    for attack in flow_data.ATTACK_LABELS:
+        if table.has_label(attack).any():
+            reports[attack] = forest_rank.rank_features_for_attack(
+                table, attack, params=params, seed=config["seed"]
+            )
     if not reports:
         raise RuntimeError("no attack-labeled records to rank")
     return reports
 
 
-def _build_profiles(config: dict, records) -> list[profile_mod.AttackProfile]:
-    reports = _rank_all(config, records)
+def _build_profiles(config: dict, table) -> list[profile_mod.AttackProfile]:
+    reports = _rank_all(config, table)
     return [
-        profile_mod.build_attack_profile(records, attack, report, k=config["k"])
+        profile_mod.build_attack_profile(table, attack, report, k=config["k"])
         for attack, report in reports.items()
     ]
 
 
-def _resolve_profiles(config: dict, records=None) -> list[profile_mod.AttackProfile]:
+def _resolve_profiles(config: dict, table=None) -> list[profile_mod.AttackProfile]:
     profiles_path = config.get("profiles_path")
     if profiles_path:
         return profile_mod.profiles_from_json(
@@ -290,9 +286,9 @@ def _resolve_profiles(config: dict, records=None) -> list[profile_mod.AttackProf
         )
     if config["kb"]["source"] == "canonical":
         return list(canonical.REFERENCE_PROFILES.values())
-    if records is None:
-        records = _load_records(config)
-    return _build_profiles(config, records)
+    if table is None:
+        table = _load_table(config)
+    return _build_profiles(config, table)
 
 
 def _text_kb(config: dict, kb_config: evaluation.KbConfig, profiles) -> kb_builder.KnowledgeBase | None:
@@ -369,8 +365,7 @@ def _parse_record(text: str) -> flow_data.FlowRecord:
 
 
 def cmd_rank(config: dict, args: argparse.Namespace) -> Path:
-    records = _load_records(config)
-    reports = _rank_all(config, records)
+    reports = _rank_all(config, _load_table(config))
     out = artifact_dir(config) / "rank"
     for attack, report in reports.items():
         stem = attack.render()
@@ -379,8 +374,7 @@ def cmd_rank(config: dict, args: argparse.Namespace) -> Path:
 
 
 def cmd_profile(config: dict, args: argparse.Namespace) -> Path:
-    records = _load_records(config)
-    profiles = _build_profiles(config, records)
+    profiles = _build_profiles(config, _load_table(config))
     out = artifact_dir(config) / "profile"
     profile_mod.write_profiles(profiles, out / "profiles.json")
     return out
@@ -405,9 +399,9 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> Path:
     spec = synth_traffic.default_spec(seed=config["seed"], **config["data"]["synth"])
     if config.get("profiles_path"):
         spec = dataclasses.replace(spec, profiles=tuple(_resolve_profiles(config)))
-    records, summary = synth_traffic.generate_dataset(spec)
+    table, summary = synth_traffic.generate_dataset(spec)
     out = artifact_dir(config) / "synth"
-    flow_data.write_dataset(records, out / "synth.csv")
+    flow_data.write_dataset(table, out / "synth.csv")
     (out / "summary.json").write_text(
         json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
@@ -416,11 +410,11 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> Path:
 
 def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
     if args.record:
-        records = [_parse_record(args.record)]
+        records = [args.record]  # parsed by main before the run lock
     elif args.input:
         records, _ = flow_data.load_dataset(args.input, require_labels=False)
     else:
-        records = _load_records(config)
+        records = _load_table(config)
     profiles = _resolve_profiles(config)
     kb = _kb_input(config, KB_VARIANTS[config["kb"]["variant"]][0], profiles)
 
@@ -444,11 +438,11 @@ def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
 
 
 def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
-    records = _load_records(config)
+    table = _load_table(config)
     sample = flow_data.stratified_sample(
-        records, n_per_class=config["eval"]["n_per_class"], seed=config["seed"]
+        table, n_per_class=config["eval"]["n_per_class"], seed=config["seed"]
     )
-    profiles = _resolve_profiles(config, records)
+    profiles = _resolve_profiles(config, table)
     # Every KB configuration's input first, so a missing replay store fails
     # before any artifact is written.
     kb_configs = [evaluation.KbConfig(name) for name in config["eval"]["kb_configs"]]
@@ -578,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = build_config(args)
+        if getattr(args, "record", None):
+            # Before the lock, so a malformed record leaves no run directory.
+            args.record = _parse_record(args.record)
         with RunLock(artifact_dir(config)):
             out = handlers[args.command](config, args)
         print(f"artifacts: {out}", file=sys.stderr)

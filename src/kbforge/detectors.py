@@ -17,7 +17,7 @@ from typing import Protocol
 from urllib.parse import urlsplit
 
 from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord
-from .kb_builder import InRange, KnowledgeBase, MandatoryEquals, StructuredKb, TypicalNear
+from .kb_builder import InRange, KnowledgeBase, MandatoryEquals, StructuredKb
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
 
@@ -88,82 +88,59 @@ class RuleOracleConfig:
             raise ValueError("min_score must lie in [0, 1]")
 
 
-def _constraint_credit(record: FlowRecord, constraint) -> float:
-    value = record.features[constraint.feature]
-    if isinstance(constraint, MandatoryEquals):
-        return 1.0 if abs(value - constraint.value) <= constraint.tolerance else 0.0
-    if isinstance(constraint, InRange):
-        return 1.0 if constraint.lo <= value <= constraint.hi else 0.0
-    if isinstance(constraint, TypicalNear):
-        delta = abs(value - constraint.value)
-        if delta <= constraint.tolerance:
-            return 1.0
-        if delta <= 2.0 * constraint.tolerance:
-            return 0.5  # near miss gets half credit
-        return 0.0
-    raise TypeError(f"unknown constraint type: {type(constraint)!r}")
-
-
-def rule_oracle_scores(
-    record: FlowRecord, kb: StructuredKb, config: RuleOracleConfig = RuleOracleConfig()
-) -> dict[AttackLabel, float]:
-    """Fraction of satisfied constraints per attack; a failed mandatory
-    constraint zeroes the attack outright in strict mode."""
-    scores: dict[AttackLabel, float] = {}
-    for attack, constraints in kb.per_attack.items():
-        if not constraints:
-            continue
-        credit = 0.0
-        zeroed = False
-        for constraint in constraints:
-            c = _constraint_credit(record, constraint)
-            if (
-                config.mandatory_strict
-                and isinstance(constraint, MandatoryEquals)
-                and c == 0.0
-            ):
-                zeroed = True
-                break
-            credit += c
-        scores[attack] = 0.0 if zeroed else credit / len(constraints)
-    return scores
-
-
-def rule_oracle_classify(
-    record: FlowRecord, kb: StructuredKb, config: RuleOracleConfig = RuleOracleConfig()
-) -> AttackLabel:
-    """Deterministic argmax over constraint-satisfaction scores.
-
-    Below min_score the verdict is Unknown; exact ties resolve in the fixed
-    attack order (ICMP, UDP, TCP, PSHACK, SYN, RSTFIN, SynonymousIP).
-    """
-    if not kb.per_attack:
-        raise ValueError("structured KB is empty")
-    scores = rule_oracle_scores(record, kb, config)
-    best_label = AttackLabel.UNKNOWN
-    best_score = -1.0
-    for attack in ATTACK_LABELS:
-        score = scores.get(attack)
-        if score is not None and score > best_score:
-            best_score = score
-            best_label = attack
-    if best_score < config.min_score:
-        return AttackLabel.UNKNOWN
-    return best_label
-
-
 class RuleOracleDetector:
-    """Scores records against a structured KB; pure and thread-safe."""
+    """Scores records against a structured KB; pure and thread-safe.
+
+    An attack's score is the fraction of its constraints a record satisfies;
+    a failed mandatory constraint zeroes it outright in strict mode. The
+    verdict is the best-scoring attack, Unknown below min_score; exact ties
+    resolve in the fixed attack order (ICMP, UDP, TCP, PSHACK, SYN, RSTFIN,
+    SynonymousIP).
+    """
+
+    backend_id = "rule-oracle"
 
     def __init__(self, kb: StructuredKb, config: RuleOracleConfig = RuleOracleConfig()):
-        self.kb = kb
+        if not kb.per_attack:
+            raise ValueError("structured KB is empty")
         self.config = config
-        self.backend_id = "rule-oracle"
+        # Compiled once into per-attack (feature, kind, a, b) rules: kind is the
+        # constraint class, (a, b) is (lo, hi) for InRange, else (value, tolerance).
+        self._rules = tuple(
+            (attack, tuple(
+                (c.feature, InRange, c.lo, c.hi) if isinstance(c, InRange)
+                else (c.feature, type(c), c.value, c.tolerance) for c in constraints
+            ))
+            for attack, constraints in kb.per_attack.items() if constraints
+        )
+
+    def scores(self, record: FlowRecord) -> dict[AttackLabel, float]:
+        """Each constrained attack's score for the record."""
+        scores: dict[AttackLabel, float] = {}
+        for attack, rules in self._rules:
+            credit = 0.0
+            for feature, kind, a, b in rules:
+                value = record.features[feature]
+                if kind is InRange:
+                    if a <= value <= b:
+                        credit += 1.0
+                elif abs(value - a) <= b:
+                    credit += 1.0
+                elif kind is MandatoryEquals:
+                    if self.config.mandatory_strict:
+                        credit = 0.0
+                        break
+                elif abs(value - a) <= 2.0 * b:
+                    credit += 0.5  # near miss gets half credit
+            scores[attack] = credit / len(rules)
+        return scores
 
     def classify(self, record: FlowRecord, kb=None) -> DetectionResult:
-        structured = kb if isinstance(kb, StructuredKb) else self.kb
+        """Classify with the KB the detector was built on; `kb` is not read."""
         start = time.perf_counter()
-        verdict = rule_oracle_classify(record, structured, self.config)
+        scores = self.scores(record)
+        best = max(ATTACK_LABELS, key=lambda attack: scores.get(attack, -1.0))  # first of equals
+        verdict = best if scores.get(best, -1.0) >= self.config.min_score else AttackLabel.UNKNOWN
         latency = (time.perf_counter() - start) * 1000.0
         return DetectionResult(
             predicted=verdict, raw_response=None, latency_ms=latency,
@@ -277,7 +254,7 @@ class LlmDetector:
         # the headers does not wait on the peer's delayed ACK.
         return self._connection_class(self._host, self._port, timeout=self.config.request_timeout_s)
 
-    def _request_once(self, prompt_text: str) -> tuple[str, float]:
+    def _request_once(self, prompt_text: str) -> str:
         cfg = self.config
         if cfg.api == "generate":
             body = {
@@ -292,7 +269,6 @@ class LlmDetector:
                 "messages": [{"role": "user", "content": prompt_text}],
                 "temperature": cfg.temperature,
             }
-        start = time.perf_counter()
         conn = self._connection()
         reusable = False
         try:
@@ -312,7 +288,6 @@ class LlmDetector:
                     self._idle.append(conn)
             else:
                 conn.close()
-        latency = (time.perf_counter() - start) * 1000.0
         if response.status != 200:
             raise EndpointStatusError(
                 response.status,
@@ -329,9 +304,9 @@ class LlmDetector:
             raise EndpointProtocolError(f"malformed response body: {exc}") from exc
         if not isinstance(text, str):
             raise EndpointProtocolError("response text field is not a string")
-        return text, latency
+        return text
 
-    def _request_with_retries(self, prompt_text: str) -> tuple[str, float]:
+    def _request_with_retries(self, prompt_text: str) -> str:
         cfg = self.config
         last: TransportError | None = None
         for attempt in range(cfg.max_retries + 1):
@@ -354,7 +329,9 @@ class LlmDetector:
     def classify(self, record: FlowRecord, kb: KnowledgeBase | None = None) -> DetectionResult:
         prompt = build_prompt(record, kb, self.mode)
         with self._gate:
-            text, latency = self._request_with_retries(prompt.text)
+            start = time.perf_counter()  # latency spans every attempt and backoff wait
+            text = self._request_with_retries(prompt.text)
+            latency = (time.perf_counter() - start) * 1000.0
         return DetectionResult(
             predicted=parse_response(text),
             raw_response=text,
@@ -397,19 +374,26 @@ class ReplayStore:
 
     @staticmethod
     def load(path: str | Path) -> "ReplayStore":
+        """Read a store; a row that is not a JSON object with a string digest
+        and a string label raises DetectorError naming its file and line."""
         from .flow_data import canonicalize_label
 
         store = ReplayStore()
         with Path(path).open(encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
-                store.rows[row["digest"]] = (
-                    row.get("response"),
-                    canonicalize_label(row["label"]),
-                )
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DetectorError(f"{path}:{number}: replay row is not valid JSON: {exc}") from None
+                if not isinstance(row, dict):
+                    raise DetectorError(f"{path}:{number}: replay row is not a JSON object")
+                for key in ("digest", "label"):
+                    if not isinstance(row.get(key), str):
+                        raise DetectorError(f"{path}:{number}: replay row needs a string {key!r}")
+                store.rows[row["digest"]] = (row.get("response"), canonicalize_label(row["label"]))
         return store
 
 

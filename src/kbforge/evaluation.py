@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 from .detectors import Detector, TransportError
-from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord, canonicalize_label
+from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord, FlowTable, canonicalize_label
 
 
 class KbConfig(Enum):
@@ -72,7 +72,7 @@ def per_class_cells(cm: ConfusionMatrix) -> dict[AttackLabel, Cell]:
     return {label: Cell(correct.get(label, 0) / total, total) for label, total in totals.items()}
 
 
-def _classified(classify, records: list[FlowRecord], workers: int):
+def _classified(classify, table: FlowTable, workers: int):
     """One zero-argument call per record that returns classify(record) or
     raises what it raised. workers <= 1 classifies inline, in record order;
     more classify on a pool, in completion order, with at most 2 x workers
@@ -80,9 +80,9 @@ def _classified(classify, records: list[FlowRecord], workers: int):
     soon after its first transport error. Closing the generator cancels the
     records still queued."""
     if workers <= 1:
-        yield from (functools.partial(classify, record) for record in records)
+        yield from (functools.partial(classify, record) for record in table)
         return
-    queue = iter(records)
+    queue = iter(table)
     pool = ThreadPoolExecutor(max_workers=workers)
 
     def submit(n: int) -> set:
@@ -101,27 +101,27 @@ def _classified(classify, records: list[FlowRecord], workers: int):
 
 def evaluate(
     backend: Detector,
-    records: list[FlowRecord],
+    table: FlowTable,
     kb=None,
     *,
     strict: bool = True,
     workers: int = 1,
 ) -> ConfusionMatrix:
-    """Classify every record and tally (true, predicted) pairs.
+    """Classify every row of the table as a FlowRecord and tally (true,
+    predicted) pairs.
 
     In strict mode a transport failure aborts the run; best-effort runs count
     the failure in error_count and leave the record out of the total. Tallying
     is a commutative merge, so worker count never changes the result.
     """
-    for record in records:
-        if record.label is None:
-            raise EvaluationError("evaluate requires every record to be labeled")
+    if (table.codes < 0).any():
+        raise EvaluationError("evaluate requires every record to be labeled")
 
     def one(record: FlowRecord):
         return record.label, backend.classify(record, kb)
 
     cm = ConfusionMatrix()
-    with contextlib.closing(_classified(one, records, workers)) as outcomes:
+    with contextlib.closing(_classified(one, table, workers)) as outcomes:
         for outcome in outcomes:
             try:
                 true, result = outcome()

@@ -1,13 +1,15 @@
-"""Flow-record ingestion, labeling and sampling for CICIoT-2023-style CSVs."""
+"""Flow ingestion, labeling and sampling for CICIoT-2023-style CSVs."""
 
 from __future__ import annotations
 
 import csv
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +45,12 @@ ATTACK_LABELS: tuple[AttackLabel, ...] = (
     AttackLabel.SYNONYMOUS_IP_FLOOD,
 )
 
+#: Label codes of a FlowTable: code i stands for LABELS[i], -1 for no label.
+LABELS: tuple[AttackLabel, ...] = tuple(AttackLabel)
+LABEL_CODES: dict[AttackLabel, int] = {label: code for code, label in enumerate(LABELS)}
+
 #: Canonical feature registry, alphabetically ordered (case-sensitive). Every
-#: FlowRecord carries exactly these features.
+#: flow carries exactly these features, and a FlowTable's columns follow it.
 FEATURES: tuple[str, ...] = (
     "ACK Count",
     "ACK Flag Number",
@@ -132,7 +138,7 @@ def canonicalize_label(raw: str) -> AttackLabel:
 
 @dataclass(frozen=True)
 class FlowRecord:
-    """One flow's feature vector plus an optional ground-truth label."""
+    """One flow's feature values plus an optional ground-truth label."""
 
     features: dict[str, float]
     label: AttackLabel | None = None
@@ -146,8 +152,41 @@ class FlowRecord:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value for {name!r}: {value}")
 
-    def vector(self) -> tuple[float, ...]:
-        return tuple(self.features[name] for name in FEATURES)
+
+class FlowTable:
+    """A set of flows as one float64 matrix ``X[n, len(FEATURES)]`` in
+    registry order and an int8 array ``codes[n]`` of label codes.
+
+    Every value is checked finite once, here. Rows read, iterate and assign
+    as FlowRecords.
+    """
+
+    def __init__(self, X: np.ndarray, codes: np.ndarray):
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite feature value in flow table")
+        self.X = X
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def __getitem__(self, i: int) -> FlowRecord:
+        code = int(self.codes[i])
+        return FlowRecord(dict(zip(FEATURES, self.X[i].tolist())), LABELS[code] if code >= 0 else None)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __setitem__(self, i: int, record: FlowRecord) -> None:
+        self.X[i] = [record.features[name] for name in FEATURES]
+        self.codes[i] = -1 if record.label is None else LABEL_CODES[record.label]
+
+    def take(self, rows: np.ndarray) -> FlowTable:
+        return FlowTable(self.X[rows], self.codes[rows])
+
+    def has_label(self, label: AttackLabel) -> np.ndarray:
+        """Boolean mask of the rows labeled `label`."""
+        return self.codes == LABEL_CODES[label]
 
 
 @dataclass
@@ -155,6 +194,12 @@ class DatasetSummary:
     record_count: int = 0
     per_label_counts: Counter = field(default_factory=Counter)
     skipped_count: int = 0
+
+    @staticmethod
+    def of(table: FlowTable, skipped_count: int = 0) -> DatasetSummary:
+        counts = np.bincount(table.codes[table.codes >= 0], minlength=len(LABELS))
+        per_label = Counter({LABELS[code]: int(n) for code, n in enumerate(counts) if n})
+        return DatasetSummary(len(table), per_label, skipped_count)
 
     def to_dict(self) -> dict:
         return {
@@ -173,11 +218,12 @@ def load_dataset(
     *,
     label_column: str = "label",
     require_labels: bool = True,
-) -> tuple[list[FlowRecord], DatasetSummary]:
-    """Read a CSV of flow features into validated FlowRecords.
+) -> tuple[FlowTable, DatasetSummary]:
+    """Read a CSV of flow features into a FlowTable.
 
-    Rows with unparsable or non-finite values in any registry feature are
-    skipped and counted in the summary rather than imputed.
+    Rows that are short, or hold a value Python's float() rejects or a
+    non-finite one in any registry feature, are skipped and counted in the
+    summary rather than imputed.
     """
     path = Path(path)
     if not path.exists():
@@ -212,75 +258,60 @@ def load_dataset(
         if require_labels and label_index is None:
             raise DatasetError(f"label column {label_column!r} not found in header")
 
-        records: list[FlowRecord] = []
-        summary = DatasetSummary()
+        # One float() per cell, appended flat: no per-row record is built.
+        cells = itemgetter(*(columns[name] for name in FEATURES))
+        values = array("d")
+        codes = array("b")
+        skipped = 0
         width = max([*columns.values(), label_index if label_index is not None else 0]) + 1
         for row in reader:
             if not row or len(row) < width:
-                summary.skipped_count += 1
+                skipped += 1
                 continue
-            values: dict[str, float] = {}
-            ok = True
-            for name, index in columns.items():
-                try:
-                    value = float(row[index])
-                except ValueError:
-                    ok = False
-                    break
-                if not math.isfinite(value):
-                    ok = False
-                    break
-                values[name] = value
-            if not ok:
-                summary.skipped_count += 1
+            mark = len(values)
+            try:
+                values.extend(map(float, cells(row)))
+            except ValueError:
+                del values[mark:]
+                skipped += 1
                 continue
-            label: AttackLabel | None = None
-            if label_index is not None:
-                label = canonicalize_label(row[label_index])
-            records.append(FlowRecord(features=values, label=label))
-            summary.record_count += 1
-            if label is not None:
-                summary.per_label_counts[label] += 1
-        return records, summary
+            codes.append(-1 if label_index is None else LABEL_CODES[canonicalize_label(row[label_index])])
+    X = np.frombuffer(values, dtype=np.float64).reshape(-1, len(FEATURES))
+    labels = np.frombuffer(codes, dtype=np.int8)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        X, labels = X[finite], labels[finite]
+    table = FlowTable(X, labels)
+    return table, DatasetSummary.of(table, skipped + int(np.count_nonzero(~finite)))
 
 
-def write_dataset(records: list[FlowRecord], path: str | Path, *, label_column: str = "label") -> None:
-    """Write records to CSV in registry order; floats use repr so a reload is bit-exact."""
+def write_dataset(table: FlowTable, path: str | Path, *, label_column: str = "label") -> None:
+    """Write flows to CSV in registry order; floats use repr so a reload is bit-exact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([*FEATURES, label_column])
-        for record in records:
-            row = [repr(record.features[name]) for name in FEATURES]
-            row.append(record.label.render() if record.label is not None else "")
-            writer.writerow(row)
+        for row, code in zip(table.X, table.codes.tolist()):
+            writer.writerow([*map(repr, row.tolist()), LABELS[code].render() if code >= 0 else ""])
 
 
-def stratified_sample(
-    records: list[FlowRecord], n_per_class: int, seed: int
-) -> list[FlowRecord]:
-    """Pick up to n_per_class records per label, reproducibly for a fixed seed.
+def stratified_sample(table: FlowTable, n_per_class: int, seed: int) -> FlowTable:
+    """Pick up to n_per_class flows per label, reproducibly for a fixed seed.
 
     Output is label-major (labels in enum order) then selection order. The
-    result depends only on the input multiset, n_per_class and seed: candidates
-    are canonically sorted before the seeded draw, so input order is irrelevant.
+    result depends only on the input multiset, n_per_class and seed: each
+    label's rows are put in canonical order (a stable sort by feature vector)
+    before the seeded draw, so input order is irrelevant.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    by_label: dict[AttackLabel, list[FlowRecord]] = {}
-    for record in records:
-        if record.label is None:
+    picked = [np.empty(0, dtype=np.intp)]
+    for code in range(len(LABELS)):
+        rows = np.flatnonzero(table.codes == code)
+        if rows.size == 0:
             continue
-        by_label.setdefault(record.label, []).append(record)
-
-    out: list[FlowRecord] = []
-    for ordinal, label in enumerate(AttackLabel):
-        group = by_label.get(label)
-        if not group:
-            continue
-        group = sorted(group, key=lambda r: r.vector())
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ordinal))))
-        picks = rng.permutation(len(group))[: min(n_per_class, len(group))]
-        out.extend(group[i] for i in picks)
-    return out
+        rows = rows[np.lexsort(table.X[rows].T[::-1])]  # first registry column is the primary key
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, code))))
+        picked.append(rows[rng.permutation(rows.size)[: min(n_per_class, rows.size)]])
+    return table.take(np.concatenate(picked))

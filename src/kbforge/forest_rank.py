@@ -4,7 +4,7 @@ Split finding is exact and greedy: every registry feature is considered at
 every node (no feature subsampling) with candidate thresholds at midpoints of
 consecutive distinct values. Ties in split score break by alphabetical feature
 name, then smaller threshold, which makes training fully deterministic for a
-fixed (record order, params, seed). Per-tree randomness comes only from the
+fixed (row order, params, seed). Per-tree randomness comes only from the
 bootstrap resample, seeded with ``seed XOR tree_index`` through numpy's PCG64,
 a documented generator with stable streams across platforms.
 
@@ -31,11 +31,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .flow_data import FEATURES, AttackLabel, FlowRecord
+from .flow_data import FEATURES, AttackLabel, FlowTable
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,6 @@ class Forest:
 #: Most elements (feature rows x node samples) that one step of a node's split
 #: search or partition handles at once; it caps the temporaries a node allocates.
 CHUNK_ELEMENTS = 1 << 15
-
-
-def records_to_matrix(records: list[FlowRecord]) -> np.ndarray:
-    """Stack records into an (n, n_features) float64 matrix in registry order."""
-    flat = np.fromiter(
-        (r.features[name] for r in records for name in FEATURES),
-        dtype=np.float64,
-        count=len(records) * len(FEATURES),
-    )
-    return flat.reshape(len(records), len(FEATURES))
 
 
 class _TreeGrower:
@@ -210,32 +200,28 @@ class _TreeGrower:
 
 
 def fit_forest(
-    records: list[FlowRecord],
-    target: Callable[[FlowRecord], float] | list[float] | np.ndarray,
+    table: FlowTable,
+    target: list[float] | np.ndarray,
     params: ForestParams = ForestParams(),
     seed: int = 0,
 ) -> Forest:
     """Train a forest of regression trees on the registry features.
 
-    Deterministic for a fixed (record order, params, seed); each tree sees a
+    Deterministic for a fixed (row order, params, seed); each tree sees a
     bootstrap resample of the same size when params.bootstrap is set.
     """
-    if len(records) < 2:
+    if len(table) < 2:
         raise ValueError("need at least 2 records to fit a forest")
-    X = records_to_matrix(records)
+    X = table.X
     varying = np.flatnonzero((X != X[0]).any(axis=0))
     if varying.size == 0:
         raise ValueError("need at least 2 distinct records to fit a forest")
-    if callable(target):
-        y = np.array([target(r) for r in records], dtype=np.float64)
-    else:
-        y = np.asarray(target, dtype=np.float64)
+    y = np.asarray(target, dtype=np.float64)
     if y.shape[0] != X.shape[0]:
         raise ValueError("target must be defined for every record")
 
     n = X.shape[0]
     columns = np.ascontiguousarray(X[:, varying].T)
-    del X
     names = tuple(FEATURES[j] for j in varying)
     # Presorted rows, then the identity row that becomes the ascending draws.
     block = np.vstack(
@@ -308,18 +294,18 @@ def feature_importance(forest: Forest) -> ImportanceReport:
 
 
 def rank_features_for_attack(
-    records: list[FlowRecord],
+    table: FlowTable,
     attack: AttackLabel,
     params: ForestParams = ForestParams(),
     seed: int = 0,
 ) -> ImportanceReport:
     """One-vs-rest feature ranking: regress the indicator of `attack` on all features."""
-    y = np.array([1.0 if r.label is attack else 0.0 for r in records], dtype=np.float64)
+    y = table.has_label(attack).astype(np.float64)
     if not y.any():
         raise ValueError(f"no records labeled {attack.render()}")
     if y.all():
         raise ValueError(f"no records labeled other than {attack.render()}")
-    forest = fit_forest(records, y, params=params, seed=seed)
+    forest = fit_forest(table, y, params=params, seed=seed)
     return feature_importance(forest)
 
 

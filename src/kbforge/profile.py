@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow_data import AttackLabel, FlowRecord
+from .flow_data import FEATURE_INDEX, AttackLabel, FlowTable
 from .forest_rank import ImportanceReport
 
 
@@ -72,21 +72,22 @@ def compute_profile(feature: str, values: list[float] | np.ndarray) -> FeaturePr
 
 
 def build_attack_profile(
-    records: list[FlowRecord],
+    table: FlowTable,
     attack: AttackLabel,
     report: ImportanceReport,
     k: int = 10,
 ) -> AttackProfile:
-    """Profile the top-k ranked features over records labeled with `attack` only."""
+    """Profile the top-k ranked features over the rows labeled with `attack` only."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = [r for r in records if r.label is attack]
-    if not rows:
+    rows = table.has_label(attack)
+    if not rows.any():
         raise ValueError(f"no records labeled {attack.render()}")
     top = report.ranking[:k]
-    profiles = tuple(
-        compute_profile(name, [r.features[name] for r in rows]) for name in top
-    )
+    # One contiguous array per feature, in row order: min, max and the median
+    # then see the values in the order a per-row value list gives them.
+    columns = np.ascontiguousarray(table.X[rows][:, [FEATURE_INDEX[name] for name in top]].T)
+    profiles = tuple(compute_profile(name, column) for name, column in zip(top, columns))
     return AttackProfile(attack=attack, ranked_features=profiles, k=k)
 
 

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .flow_data import ATTACK_LABELS, FEATURES, AttackLabel, DatasetSummary, FlowRecord
+from .flow_data import ATTACK_LABELS, FEATURES, LABEL_CODES, DatasetSummary, FlowTable
 from .canonical import REFERENCE_PROFILES
 from .profile import AttackProfile
 
@@ -99,12 +99,6 @@ class SynthSpec:
         if missing:
             raise ValueError(f"background bands missing for: {sorted(missing)}")
 
-    def profile_for(self, attack: AttackLabel) -> AttackProfile | None:
-        for profile in self.profiles:
-            if profile.attack is attack:
-                return profile
-        return None
-
 
 def default_spec(n_per_attack: int = 500, jitter: float = 0.3, seed: int = 0) -> SynthSpec:
     """A SynthSpec over the bundled reference profiles and background bands."""
@@ -116,56 +110,51 @@ def default_spec(n_per_attack: int = 500, jitter: float = 0.3, seed: int = 0) ->
     )
 
 
-def _flow_rng(spec: SynthSpec, attack: AttackLabel, index: int) -> np.random.Generator:
-    ordinal = ATTACK_LABELS.index(attack) if attack in ATTACK_LABELS else 99
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((spec.seed, ordinal, index)))
-    )
+def generate_dataset(spec: SynthSpec) -> tuple[FlowTable, DatasetSummary]:
+    """n_per_attack flows per profiled attack, in profile-then-index order.
 
-
-def generate_flow(spec: SynthSpec, attack: AttackLabel, index: int) -> FlowRecord:
-    """Generate one labeled flow; a pure function of (spec, attack, index).
-
-    Profiled features sample at ``median + jitter * u * min(median-min,
-    max-median)`` with u ~ Uniform(-1, 1), clamped to [min, max]; a feature
-    whose median sits at a range edge therefore stays pinned at the median.
+    Flow ``index`` of an attack is a pure function of (spec, attack, index):
+    its numbers are one ``random(m)`` draw from its own PCG64 stream, seeded
+    with (seed, attack ordinal, index), taken in registry order as one u per
+    profiled, non-constant feature and a (pick, u) pair per background
+    feature. A profiled feature sits at ``median + jitter * (2u - 1) *
+    min(median-min, max-median)``, clamped to [min, max], so one whose median
+    sits at a range edge stays pinned at the median; a constant one is its
+    median. A background feature is lo when pick < lo_mass, else hi when
+    pick > 1 - hi_mass, else ``lo + (hi - lo) * u``.
     """
-    profile = spec.profile_for(attack)
-    if profile is None:
-        raise ValueError(f"no profile for attack {attack.render()}")
-    rng = _flow_rng(spec, attack, index)
-    values: dict[str, float] = {}
-    for name in FEATURES:
-        fp = profile.get(name)
-        if fp is not None:
-            if fp.is_constant:
-                values[name] = fp.median
+    n = spec.n_per_attack
+    X = np.empty((n * len(spec.profiles), len(FEATURES)))
+    codes = np.empty(X.shape[0], dtype=np.int8)
+    for block, profile in enumerate(spec.profiles):
+        rows = slice(block * n, (block + 1) * n)
+        codes[rows] = LABEL_CODES[profile.attack]
+        pinned = {fp.feature: fp for fp in profile.ranked_features}
+        m = sum(2 if name not in pinned else int(not pinned[name].is_constant) for name in FEATURES)
+        ordinal = ATTACK_LABELS.index(profile.attack) if profile.attack in ATTACK_LABELS else 99
+        draws = np.empty((n, m))
+        for index in range(n):
+            seed = np.random.SeedSequence((spec.seed, ordinal, index))
+            np.random.Generator(np.random.PCG64(seed)).random(out=draws[index])
+        at = 0
+        for j, name in enumerate(FEATURES):
+            fp = pinned.get(name)
+            if fp is None:
+                band = spec.background[name]
+                pick, u = draws[:, at], draws[:, at + 1]
+                at += 2
+                interior = band.lo + (band.hi - band.lo) * u
+                X[rows, j] = np.where(
+                    pick < band.lo_mass, band.lo, np.where(pick > 1.0 - band.hi_mass, band.hi, interior)
+                )
+            elif fp.is_constant:
+                X[rows, j] = fp.median
             else:
                 width = min(fp.median - fp.min, fp.max - fp.median)
-                u = rng.uniform(-1.0, 1.0)
-                value = fp.median + spec.jitter * u * width
-                values[name] = float(min(max(value, fp.min), fp.max))
-        else:
-            band = spec.background[name]
-            pick = rng.random()
-            interior = rng.uniform(band.lo, band.hi)
-            if pick < band.lo_mass:
-                values[name] = band.lo
-            elif pick > 1.0 - band.hi_mass:
-                values[name] = band.hi
-            else:
-                values[name] = float(interior)
-    return FlowRecord(features=values, label=attack)
-
-
-def generate_dataset(spec: SynthSpec) -> tuple[list[FlowRecord], DatasetSummary]:
-    """n_per_attack flows per profiled attack, in profile-then-index order."""
-    records: list[FlowRecord] = []
-    summary = DatasetSummary()
-    for profile in spec.profiles:
-        for index in range(spec.n_per_attack):
-            record = generate_flow(spec, profile.attack, index)
-            records.append(record)
-            summary.record_count += 1
-            summary.per_label_counts[profile.attack] += 1
-    return records, summary
+                value = fp.median + spec.jitter * (-1.0 + 2.0 * draws[:, at]) * width
+                at += 1
+                # Python's max(value, min) then min(., max), tie for tie.
+                value = np.where(fp.min > value, fp.min, value)
+                X[rows, j] = np.where(fp.max < value, fp.max, value)
+    table = FlowTable(X, codes)
+    return table, DatasetSummary.of(table)

@@ -7,16 +7,24 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from kbforge.detectors import LlmDetector
-from kbforge.flow_data import FEATURES, AttackLabel, FlowRecord
+from kbforge.flow_data import FEATURES, LABEL_CODES, AttackLabel, FlowRecord, FlowTable
 
 
 def make_record(label: AttackLabel | None = None, **overrides: float) -> FlowRecord:
     features = {name: 0.0 for name in FEATURES}
     features.update(overrides)
     return FlowRecord(features=features, label=label)
+
+
+def table_of(records) -> FlowTable:
+    """The FlowTable whose rows are `records`, in order."""
+    X = np.array([[r.features[name] for name in FEATURES] for r in records], dtype=np.float64)
+    codes = np.array([-1 if r.label is None else LABEL_CODES[r.label] for r in records], dtype=np.int8)
+    return FlowTable(X.reshape(-1, len(FEATURES)), codes)
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from kbforge.kb_builder import structured_kb
 from kbforge.profile import compute_profile
 from kbforge.synth_traffic import SynthSpec, default_spec, generate_dataset
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -144,7 +144,7 @@ def test_04_importance_recovery():
                         label=ICMP if positive else UDP,
                     )
                 )
-            report = rank_features_for_attack(records, ICMP, ForestParams(), seed=seed)
+            report = rank_features_for_attack(table_of(records), ICMP, ForestParams(), seed=seed)
             assert report.ranking[0] == "Header Length", f"seed {seed}: {report.ranking[:3]}"
             assert report.scores["Header Length"] >= 0.9
 
@@ -154,7 +154,7 @@ def _lone_separators(spec: SynthSpec, attack: AttackLabel) -> set[str]:
     class's window in `spec`.
 
     A profiled feature draws from ``median ± jitter·min(median−min, max−median)``
-    (see ``generate_flow``); an unprofiled one from its background band
+    (see ``generate_dataset``); an unprofiled one from its background band
     [lo, hi]. Each such feature splits `attack` from the rest on its own.
     """
 
@@ -166,7 +166,7 @@ def _lone_separators(spec: SynthSpec, attack: AttackLabel) -> set[str]:
         half = spec.jitter * min(fp.median - fp.min, fp.max - fp.median)
         return fp.median - half, fp.median + half
 
-    own = spec.profile_for(attack)
+    own = next(p for p in spec.profiles if p.attack is attack)
     others = [p for p in spec.profiles if p.attack is not attack]
     lone = set()
     for name in FEATURES:

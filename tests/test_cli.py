@@ -385,6 +385,29 @@ class TestPipelines:
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"]["kind"] == "config"
         assert "--record" in report["error"]["message"]
+        assert not list(tmp_path.glob("run-*"))  # rejected before the run lock is taken
+
+    @pytest.mark.parametrize(
+        "line,problem",
+        [
+            ("not json", "not valid JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"response": null, "label": "Normal"}', "string 'digest'"),
+            ('{"digest": "d", "response": null}', "string 'label'"),
+            ('{"digest": "d", "response": null, "label": 3}', "string 'label'"),
+        ],
+        ids=["invalid-json", "not-an-object", "no-digest", "no-label", "label-not-string"],
+    )
+    def test_eval_replay_malformed_store_row_names_file_and_line(self, tmp_path, capsys, line, problem):
+        argv, _ = self._replay_eval(tmp_path)
+        store = tmp_path / "stores" / "long_kb.jsonl"
+        rows = store.read_text(encoding="utf-8").splitlines()
+        store.write_text("\n".join([rows[0], "", line, *rows[1:]]) + "\n", encoding="utf-8")
+        assert run_cli(*argv) == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"]["kind"] == "DetectorError"
+        assert report["error"]["message"].startswith(f"{store}:3: ")
+        assert problem in report["error"]["message"]
 
 
 class TestEnvAndLock:

@@ -5,6 +5,8 @@ import time
 from email.utils import formatdate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.detectors import (
@@ -21,17 +23,96 @@ from kbforge.detectors import (
     ReplayStore,
     RuleOracleConfig,
     RuleOracleDetector,
-    rule_oracle_classify,
-    rule_oracle_scores,
 )
 from kbforge.evaluation import evaluate
-from kbforge.flow_data import AttackLabel
-from kbforge.kb_builder import structured_kb
+from kbforge.flow_data import ATTACK_LABELS, FEATURES, AttackLabel
+from kbforge.kb_builder import InRange, MandatoryEquals, StructuredKb, TypicalNear, structured_kb
+from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.prompting import record_digest
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 KB = structured_kb(tuple(REFERENCE_PROFILES.values()))
+
+
+def oracle_scores(record, kb, config=RuleOracleConfig()):
+    return RuleOracleDetector(kb, config).scores(record)
+
+
+def oracle_verdict(record, kb, config=RuleOracleConfig()):
+    return RuleOracleDetector(kb, config).classify(record).predicted
+
+
+def reference_credit(record, constraint) -> float:
+    value = record.features[constraint.feature]
+    if isinstance(constraint, MandatoryEquals):
+        return 1.0 if abs(value - constraint.value) <= constraint.tolerance else 0.0
+    if isinstance(constraint, InRange):
+        return 1.0 if constraint.lo <= value <= constraint.hi else 0.0
+    delta = abs(value - constraint.value)
+    if delta <= constraint.tolerance:
+        return 1.0
+    return 0.5 if delta <= 2.0 * constraint.tolerance else 0.0
+
+
+def reference_scores(record, kb, config):
+    """The per-record, per-constraint oracle the compiled one replaced."""
+    scores = {}
+    for attack, constraints in kb.per_attack.items():
+        if not constraints:
+            continue
+        credit = 0.0
+        zeroed = False
+        for constraint in constraints:
+            c = reference_credit(record, constraint)
+            if config.mandatory_strict and isinstance(constraint, MandatoryEquals) and c == 0.0:
+                zeroed = True
+                break
+            credit += c
+        scores[attack] = 0.0 if zeroed else credit / len(constraints)
+    return scores
+
+
+def reference_classify(record, kb, config):
+    scores = reference_scores(record, kb, config)
+    best_label, best_score = AttackLabel.UNKNOWN, -1.0
+    for attack in ATTACK_LABELS:
+        score = scores.get(attack)
+        if score is not None and score > best_score:
+            best_score, best_label = score, attack
+    return AttackLabel.UNKNOWN if best_score < config.min_score else best_label
+
+
+@st.composite
+def oracle_cases(draw):
+    """A structured KB (the reference one, or one built from random profiles
+    over a few features) and a record whose values sit on and around its
+    constraint edges."""
+    if draw(st.booleans()):
+        kb = KB
+    else:
+        names = ("Protocol Type", "Rate", "IAT", "Min")
+        profiles = []
+        for attack in draw(st.lists(st.sampled_from(list(AttackLabel)), min_size=1, max_size=4, unique=True)):
+            stats = []
+            for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)):
+                lo, mid, hi = sorted(draw(st.lists(st.sampled_from([0.0, 1.0, 6.0, 17.0, 50.0, 100.0]),
+                                                   min_size=3, max_size=3)))
+                stats.append(FeatureProfile(name, lo, mid, hi))
+            profiles.append(AttackProfile(attack, tuple(stats), k=len(stats)))
+        kb = structured_kb(profiles)
+    edges = {0.0}
+    for constraints in kb.per_attack.values():
+        for c in constraints:
+            if isinstance(c, InRange):
+                edges |= {c.lo, c.hi}
+            else:
+                edges |= {c.value, c.value + c.tolerance, c.value - 2.0 * c.tolerance,
+                          c.value + 1.5 * c.tolerance, c.value + 3.0 * c.tolerance}
+    value = st.sampled_from(sorted(edges)) | st.floats(-1e8, 1e8, allow_nan=False)
+    record = make_record(None, **{name: draw(value) for name in FEATURES})
+    config = RuleOracleConfig(min_score=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    return record, kb, config
 
 
 def icmp_flow():
@@ -58,26 +139,26 @@ def pshack_flow():
 
 class TestRuleOracle:
     def test_icmp_typical_flow(self):
-        assert rule_oracle_classify(icmp_flow(), KB) is AttackLabel.ICMP_FLOOD
+        assert oracle_verdict(icmp_flow(), KB) is AttackLabel.ICMP_FLOOD
 
     def test_pshack_typical_flow(self):
-        assert rule_oracle_classify(pshack_flow(), KB) is AttackLabel.PSHACK_FLOOD
+        assert oracle_verdict(pshack_flow(), KB) is AttackLabel.PSHACK_FLOOD
 
     def test_all_zero_flow_is_unknown(self):
-        assert rule_oracle_classify(make_record(None), KB) is AttackLabel.UNKNOWN
+        assert oracle_verdict(make_record(None), KB) is AttackLabel.UNKNOWN
 
     def test_empty_kb_rejected(self):
         from kbforge.kb_builder import StructuredKb
 
         with pytest.raises(ValueError):
-            rule_oracle_classify(icmp_flow(), StructuredKb(per_attack={}))
+            oracle_verdict(icmp_flow(), StructuredKb(per_attack={}))
 
     def test_mandatory_failure_zeroes_attack(self):
         flow = icmp_flow()
         broken = dict(flow.features)
         broken["Protocol Type"] = 2.0  # mandatory exact-match now fails
         flow2 = make_record(AttackLabel.ICMP_FLOOD, **broken)
-        scores = rule_oracle_scores(flow2, KB)
+        scores = oracle_scores(flow2, KB)
         assert scores[AttackLabel.ICMP_FLOOD] == 0.0
 
     def test_mandatory_lenient_mode_keeps_partial_credit(self):
@@ -86,7 +167,7 @@ class TestRuleOracle:
         broken["Protocol Type"] = 2.0
         flow2 = make_record(AttackLabel.ICMP_FLOOD, **broken)
         config = RuleOracleConfig(mandatory_strict=False)
-        scores = rule_oracle_scores(flow2, KB, config)
+        scores = oracle_scores(flow2, KB, config)
         assert scores[AttackLabel.ICMP_FLOOD] > 0.0
 
     def test_typical_near_half_credit(self):
@@ -103,14 +184,14 @@ class TestRuleOracle:
         exact = make_record(None, Rate=50.0)
         near = make_record(None, Rate=65.0)  # within 2x tolerance
         far = make_record(None, Rate=95.0)
-        assert rule_oracle_scores(exact, kb)[AttackLabel.UDP_FLOOD] == 1.0
-        assert rule_oracle_scores(near, kb)[AttackLabel.UDP_FLOOD] == 0.75
-        assert rule_oracle_scores(far, kb)[AttackLabel.UDP_FLOOD] == 0.5
+        assert oracle_scores(exact, kb)[AttackLabel.UDP_FLOOD] == 1.0
+        assert oracle_scores(near, kb)[AttackLabel.UDP_FLOOD] == 0.75
+        assert oracle_scores(far, kb)[AttackLabel.UDP_FLOOD] == 0.5
 
     def test_determinism(self):
         flow = pshack_flow()
         assert all(
-            rule_oracle_classify(flow, KB) is AttackLabel.PSHACK_FLOOD for _ in range(5)
+            oracle_verdict(flow, KB) is AttackLabel.PSHACK_FLOOD for _ in range(5)
         )
 
     def test_detector_wrapper(self):
@@ -127,15 +208,26 @@ class TestRuleOracle:
             None,
             **{"PSH Flag Number": 1.0, "ACK Flag Number": 1.0, "Tot size": 54.0, "IAT": 8.33e7},
         )
-        assert rule_oracle_classify(flow, KB) is AttackLabel.PSHACK_FLOOD
+        assert oracle_verdict(flow, KB) is AttackLabel.PSHACK_FLOOD
 
     def test_argmax_invariant_under_positive_scaling(self):
         flow = pshack_flow()
-        scores = rule_oracle_scores(flow, KB)
+        scores = oracle_scores(flow, KB)
         winner = max(scores, key=lambda a: (scores[a], -list(scores).index(a)))
         scaled = {a: 0.25 * s for a, s in scores.items()}
         scaled_winner = max(scaled, key=lambda a: (scaled[a], -list(scaled).index(a)))
         assert winner is scaled_winner is AttackLabel.PSHACK_FLOOD
+
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @settings(max_examples=200, deadline=None)
+    @given(case=oracle_cases())
+    def test_compiled_oracle_equals_per_constraint_reference(self, strict, case):
+        record, kb, config = case
+        config = RuleOracleConfig(min_score=config.min_score, mandatory_strict=strict)
+        assert oracle_scores(record, kb, config) == reference_scores(record, kb, config)
+        expected = reference_classify(record, kb, config)
+        assert oracle_verdict(record, kb, config) is expected
 
 
 class TestLlmDetector:
@@ -251,7 +343,7 @@ class TestLlmDetector:
         detector = LlmDetector(self._config(keep_alive_server, max_in_flight=2))
         records = [icmp_flow() for _ in range(40)]
         try:
-            cm = evaluate(detector, records, workers=4)
+            cm = evaluate(detector, table_of(records), workers=4)
         finally:
             detector.close()
         assert cm.total == 40
@@ -273,6 +365,14 @@ class TestLlmDetector:
         assert result.predicted is AttackLabel.NORMAL
         assert len(keep_alive_server.requests) == 2
         assert keep_alive_server.connections_opened == 2
+
+    def test_latency_covers_every_attempt_and_backoff(self, stub_server, llm_detector):
+        stub_server.set_script(
+            [{"status": 503, "raw": "busy"}, {"status": 200, "json": {"response": "Normal"}}]
+        )
+        result = llm_detector(self._config(stub_server, backoff_base_s=0.2)).classify(icmp_flow())
+        assert len(stub_server.requests) == 2
+        assert result.latency_ms >= 200.0
 
     def test_timeout_raises_timeout_kind(self, stub_server, llm_detector):
         stub_server.set_script(

@@ -30,7 +30,7 @@ from kbforge.flow_data import ATTACK_LABELS, AttackLabel
 from kbforge.kb_builder import structured_kb
 from kbforge.synth_traffic import default_spec, generate_dataset
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 ICMP = AttackLabel.ICMP_FLOOD
 UDP = AttackLabel.UDP_FLOOD
@@ -126,13 +126,13 @@ class TestEvaluate:
 
     def test_empty_record_list(self):
         backend = RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values())))
-        cm = evaluate(backend, [])
+        cm = evaluate(backend, table_of([]))
         assert cm.total == 0
 
     def test_unlabeled_record_rejected(self):
         backend = RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values())))
         with pytest.raises(EvaluationError):
-            evaluate(backend, [make_record(None)])
+            evaluate(backend, table_of([make_record(None)]))
 
     def test_strict_aborts_on_transport_error_best_effort_counts(self):
         class Flaky:
@@ -162,7 +162,7 @@ class TestEvaluate:
         detector = LlmDetector(LlmEndpointConfig(
             base_url=stub_server.base_url, request_timeout_s=2.0, max_in_flight=workers,
         ))
-        records = [make_record(AttackLabel.UDP_FLOOD) for _ in range(100)]
+        records = table_of([make_record(AttackLabel.UDP_FLOOD) for _ in range(100)])
         with pytest.raises(EndpointStatusError):
             evaluate(detector, records, strict=True, workers=workers)
         assert len(stub_server.requests) <= 2 * workers

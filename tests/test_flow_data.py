@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import csv
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbforge.flow_data import (
@@ -11,6 +13,7 @@ from kbforge.flow_data import (
     FEATURES,
     AttackLabel,
     DatasetError,
+    DatasetSummary,
     FlowRecord,
     canonicalize_label,
     load_dataset,
@@ -18,7 +21,67 @@ from kbforge.flow_data import (
     write_dataset,
 )
 
-from conftest import make_record
+from conftest import make_record, table_of
+
+
+def reference_load(path, order: list[str]) -> tuple[list[FlowRecord], DatasetSummary]:
+    """The per-row parser the columnar ingest replaced, for a header that
+    lists the registry features in `order` and then the label: float() per
+    cell into a dict, and the row skipped at its first unparsable or
+    non-finite value."""
+    columns = {name: i for i, name in enumerate(order)}
+    records, summary = [], DatasetSummary()
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:
+            if not row or len(row) < len(order) + 1:
+                summary.skipped_count += 1
+                continue
+            values: dict[str, float] = {}
+            ok = True
+            for name, index in columns.items():
+                try:
+                    value = float(row[index])
+                except ValueError:
+                    ok = False
+                    break
+                if not math.isfinite(value):
+                    ok = False
+                    break
+                values[name] = value
+            if not ok:
+                summary.skipped_count += 1
+                continue
+            label = canonicalize_label(row[len(order)])
+            records.append(FlowRecord(features=values, label=label))
+            summary.record_count += 1
+            summary.per_label_counts[label] += 1
+    return records, summary
+
+
+def reference_stratified_sample(records: list[FlowRecord], n_per_class: int, seed: int) -> list[FlowRecord]:
+    """The sampler the columnar one replaced: a stable sort of each label's
+    records by their feature tuple, then the seeded draw."""
+    by_label: dict[AttackLabel, list[FlowRecord]] = {}
+    for record in records:
+        if record.label is not None:
+            by_label.setdefault(record.label, []).append(record)
+    out: list[FlowRecord] = []
+    for ordinal, label in enumerate(AttackLabel):
+        group = by_label.get(label)
+        if not group:
+            continue
+        group = sorted(group, key=lambda r: tuple(r.features[name] for name in FEATURES))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ordinal))))
+        picks = rng.permutation(len(group))[: min(n_per_class, len(group))]
+        out.extend(group[i] for i in picks)
+    return out
+
+
+def exact(records) -> list[tuple]:
+    """Labels and value reprs, so -0.0 and 0.0 count as different."""
+    return [(r.label, tuple(repr(r.features[name]) for name in FEATURES)) for r in records]
 
 
 class TestLabels:
@@ -117,7 +180,7 @@ class TestLoadDataset:
         path = tmp_path / "empty.csv"
         self._write_csv(path, [])
         records, summary = load_dataset(path)
-        assert records == []
+        assert len(records) == 0
         assert summary.record_count == 0
         assert summary.skipped_count == 0
 
@@ -151,7 +214,7 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="label"):
             load_dataset(path)
         records, _ = load_dataset(path, require_labels=False)
-        assert records == []
+        assert len(records) == 0
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -168,7 +231,7 @@ class TestLoadDataset:
             make_record(AttackLabel.UDP_FLOOD, **{"Rate": 1 / 3, "Srate": 1e-12}),
         ]
         path = tmp_path / "round.csv"
-        write_dataset(records, path)
+        write_dataset(table_of(records), path)
         loaded, summary = load_dataset(path)
         assert summary.record_count == 2
         for original, reloaded in zip(records, loaded):
@@ -187,13 +250,13 @@ class TestStratifiedSample:
             out.append(make_record(AttackLabel.ICMP_FLOOD, **{"IAT": float(rng.random())}))
         for _ in range(n_udp):
             out.append(make_record(AttackLabel.UDP_FLOOD, **{"IAT": float(rng.random())}))
-        return out
+        return table_of(out)
 
     def test_reproducible_and_balanced(self):
         records = self._records(1000, 1000)
         a = stratified_sample(records, 500, seed=7)
         b = stratified_sample(records, 500, seed=7)
-        assert a == b
+        assert list(a) == list(b)
         assert len(a) == 1000
         assert sum(1 for r in a if r.label is AttackLabel.ICMP_FLOOD) == 500
 
@@ -204,12 +267,12 @@ class TestStratifiedSample:
 
     def test_different_seeds_differ(self):
         records = self._records(1000, 1000)
-        assert stratified_sample(records, 500, seed=7) != stratified_sample(records, 500, seed=8)
+        assert list(stratified_sample(records, 500, seed=7)) != list(stratified_sample(records, 500, seed=8))
 
     def test_input_order_irrelevant(self):
         records = self._records(50, 50)
-        shuffled = list(reversed(records))
-        assert stratified_sample(records, 10, seed=3) == stratified_sample(shuffled, 10, seed=3)
+        shuffled = records.take(np.arange(len(records))[::-1])
+        assert list(stratified_sample(records, 10, seed=3)) == list(stratified_sample(shuffled, 10, seed=3))
 
     def test_label_major_order(self):
         records = self._records(10, 10)
@@ -218,9 +281,66 @@ class TestStratifiedSample:
         assert labels == sorted(labels, key=lambda l: list(AttackLabel).index(l))
 
     def test_empty_input(self):
-        assert stratified_sample([], 5, seed=1) == []
+        assert len(stratified_sample(table_of([]), 5, seed=1)) == 0
 
 
 @given(st.text(max_size=40))
 def test_canonicalize_is_total(raw):
     assert canonicalize_label(raw) in set(AttackLabel)
+
+
+#: Cells the ingest must treat exactly as Python's float() does.
+_CELLS = ["0", "1.5", "-3", "1_000", " 2.5 ", "nan", "NaN", "inf", "-inf", "1e400", "-0.0", "", "abc",
+          "1e-320", "0x10", "+7", "4.2e1"]
+
+
+@st.composite
+def csv_files(draw):
+    order = draw(st.permutations(FEATURES))
+    cell = st.sampled_from(_CELLS) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["full", "full", "full", "short", "empty"]))
+        if shape == "empty":
+            rows.append("")
+            continue
+        width = len(FEATURES) + 1 if shape == "full" else draw(st.integers(1, len(FEATURES)))
+        # Mostly clean rows, so that many rows survive.
+        clean = draw(st.booleans())
+        cells = [draw(st.sampled_from(["0", "1.5", "-0.0", "1_000", " 2.5 "]) if clean else cell) for _ in range(width)]
+        if shape == "full":
+            cells[-1] = draw(st.sampled_from(["DDoS-ICMP_Flood", "udp_flood", "Normal", "Unknow", "", "x"]))
+        rows.append(",".join(cells))
+    return order, rows
+
+
+class TestAgainstPerRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=csv_files())
+    def test_ingest_equals_per_row_float_parser(self, tmp_path_factory, case):
+        order, rows = case
+        path = tmp_path_factory.mktemp("ingest") / "d.csv"
+        path.write_text("\n".join([",".join([*order, "label"]), *rows]) + "\n", encoding="utf-8")
+        table, summary = load_dataset(path)
+        expected, expected_summary = reference_load(path, order)
+        assert exact(table) == exact(expected)
+        assert summary.to_dict() == expected_summary.to_dict()
+        assert summary.per_label_counts == expected_summary.per_label_counts
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([None, AttackLabel.ICMP_FLOOD, AttackLabel.UDP_FLOOD, AttackLabel.NORMAL]),
+                st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0]), min_size=3, max_size=3),
+            ),
+            max_size=40,
+        ),
+        n_per_class=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sample_equals_stable_sort_by_vector(self, rows, n_per_class, seed):
+        # Few distinct values in three columns, so rows tie on many keys.
+        records = [make_record(label, **dict(zip(("AVG", "IAT", "Rate"), values))) for label, values in rows]
+        got = stratified_sample(table_of(records), n_per_class, seed)
+        assert exact(got) == exact(reference_stratified_sample(records, n_per_class, seed))

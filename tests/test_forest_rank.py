@@ -22,7 +22,7 @@ from kbforge.forest_rank import (
     rank_features_for_attack,
 )
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 
 def two_class_records(n=40, seed=0, informative="Min", low=1.0, high=9.0):
@@ -40,7 +40,7 @@ def two_class_records(n=40, seed=0, informative="Min", low=1.0, high=9.0):
             )
         )
         targets.append(1.0 if positive else 0.0)
-    return records, targets
+    return table_of(records), targets
 
 
 def brute_force_single_split(records, targets):
@@ -183,7 +183,7 @@ def forest_cases(draw):
         else:
             pool = draw(st.lists(eighths, min_size=1, max_size=8))
             columns[name] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    records = [make_record(None, **{name: col[i] for name, col in columns.items()}) for i in range(n)]
+    records = table_of([make_record(None, **{name: col[i] for name, col in columns.items()}) for i in range(n)])
     target_pool = draw(
         st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=2, max_size=4)
     )
@@ -215,7 +215,7 @@ class TestAgainstPerFeatureSearch:
     def deep_case(self):
         rng = np.random.Generator(np.random.PCG64(3))
         X = rng.normal(size=(600, len(FEATURES))).round(2)
-        records = [make_record(None, **dict(zip(FEATURES, map(float, row)))) for row in X]
+        records = table_of([make_record(None, **dict(zip(FEATURES, map(float, row)))) for row in X])
         targets = rng.normal(size=600)  # noise: deep trees
         params = ForestParams(num_trees=2, max_depth=12, min_samples_leaf=2)
         return records, targets, params, reference_fit_forest(records, targets, params, seed=5)
@@ -243,13 +243,13 @@ class TestParams:
 class TestFitForest:
     def test_rejects_empty_and_degenerate(self):
         with pytest.raises(ValueError):
-            fit_forest([], [], ForestParams())
-        dup = [make_record(None, Min=1.0), make_record(None, Min=1.0)]
+            fit_forest(table_of([]), [], ForestParams())
+        dup = table_of([make_record(None, Min=1.0), make_record(None, Min=1.0)])
         with pytest.raises(ValueError, match="distinct"):
             fit_forest(dup, [0.0, 1.0], ForestParams())
 
     def test_two_records_split_on_the_only_feature(self):
-        records = [make_record(None, Min=1.0), make_record(None, Min=9.0)]
+        records = table_of([make_record(None, Min=1.0), make_record(None, Min=9.0)])
         params = ForestParams(num_trees=3, max_depth=3, min_samples_leaf=1, bootstrap=False)
         forest = fit_forest(records, [0.0, 1.0], params, seed=1)
         reduction, feature, threshold = brute_force_single_split(records, [0.0, 1.0])
@@ -315,7 +315,7 @@ class TestImportance:
                 make_record(None, Min=value, Max=value, Std=float(rng.uniform(0, 4)))
             )
             targets.append(float(positive))
-        forest = fit_forest(records, targets, ForestParams(num_trees=10), seed=1)
+        forest = fit_forest(table_of(records), targets, ForestParams(num_trees=10), seed=1)
         report = feature_importance(forest)
         assert report.scores["Min"] + report.scores["Max"] == pytest.approx(1.0)
         # Both split perfectly at the root; the tie breaks by alphabetical name.
@@ -336,7 +336,7 @@ class TestImportance:
         assert report.scores["CWR Flag Number"] == 0.0  # constant 0 across records
 
     def test_depth_one_single_admissible_split_importance_one(self):
-        records = [make_record(None, IAT=float(v)) for v in (1, 2, 3, 4)]
+        records = table_of([make_record(None, IAT=float(v)) for v in (1, 2, 3, 4)])
         targets = [0.0, 0.0, 1.0, 1.0]
         params = ForestParams(num_trees=1, max_depth=1, min_samples_leaf=2, bootstrap=False)
         forest = fit_forest(records, targets, params, seed=0)
@@ -350,7 +350,7 @@ class TestImportance:
 
 class TestRankForAttack:
     def test_requires_both_classes(self):
-        records = [make_record(AttackLabel.ICMP_FLOOD, Min=float(i)) for i in range(4)]
+        records = table_of([make_record(AttackLabel.ICMP_FLOOD, Min=float(i)) for i in range(4)])
         with pytest.raises(ValueError, match="other than"):
             rank_features_for_attack(records, AttackLabel.ICMP_FLOOD)
         with pytest.raises(ValueError, match="labeled"):

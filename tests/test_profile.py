@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbforge.flow_data import AttackLabel
+from kbforge.flow_data import FEATURES, AttackLabel
 from kbforge.forest_rank import ImportanceReport
 from kbforge.profile import (
     AttackProfile,
@@ -15,7 +15,19 @@ from kbforge.profile import (
     profiles_to_json,
 )
 
-from conftest import make_record
+from conftest import make_record, table_of
+
+
+def reference_build_attack_profile(records, attack, report, k):
+    """The per-record profile builder the columnar one replaced."""
+    rows = [r for r in records if r.label is attack]
+    return AttackProfile(
+        attack=attack,
+        ranked_features=tuple(
+            compute_profile(name, [r.features[name] for r in rows]) for name in report.ranking[:k]
+        ),
+        k=k,
+    )
 
 
 def oracle_profile(values):
@@ -102,7 +114,7 @@ class TestBuildAttackProfile:
                 )
             )
         out.append(make_record(AttackLabel.TCP_FLOOD))
-        return out
+        return table_of(out)
 
     def test_top_k_profiles_attack_rows_only(self):
         profile = build_attack_profile(self._records(), AttackLabel.PSHACK_FLOOD, self._report(), k=2)
@@ -127,6 +139,41 @@ class TestBuildAttackProfile:
         profile = build_attack_profile(self._records(), AttackLabel.PSHACK_FLOOD, self._report(), k=3)
         for fp in profile.ranked_features:
             assert fp.min <= fp.median <= fp.max
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([AttackLabel.PSHACK_FLOOD, AttackLabel.TCP_FLOOD, None]),
+                st.lists(
+                    st.sampled_from([0.0, -0.0, 1.0, 54.0]) | st.floats(-1e9, 1e9, allow_nan=False),
+                    min_size=3, max_size=3,
+                ),
+            ),
+            min_size=1, max_size=60,
+        ),
+        ranking=st.permutations(FEATURES),
+        k=st.integers(1, len(FEATURES)),
+    )
+    def test_equals_per_record_reference(self, rows, ranking, k):
+        records = [
+            make_record(label, **dict(zip(("PSH Flag Number", "ACK Flag Number", "IAT"), values)))
+            for label, values in rows
+        ]
+        report = ImportanceReport(scores={}, ranking=tuple(ranking))
+        attack = AttackLabel.PSHACK_FLOOD
+        if all(r.label is not attack for r in records):
+            with pytest.raises(ValueError, match="no records"):
+                build_attack_profile(table_of(records), attack, report, k=k)
+            return
+        got = build_attack_profile(table_of(records), attack, report, k=k)
+        expected = reference_build_attack_profile(records, attack, report, k)
+        assert got == expected
+        # Signed zeros too: equality alone lets -0.0 stand for 0.0.
+        assert [tuple(map(repr, (fp.min, fp.median, fp.max))) for fp in got.ranked_features] == [
+            tuple(map(repr, (fp.min, fp.median, fp.max))) for fp in expected.ranked_features
+        ]
 
 
 class TestProfileSerialization:
