@@ -152,13 +152,24 @@ class FlowRecord:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value for {name!r}: {value}")
 
+    @classmethod
+    def _checked(cls, features: dict[str, float], label: AttackLabel | None) -> FlowRecord:
+        """A record of values already known complete and finite, built without
+        re-validating them."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "features", features)
+        object.__setattr__(record, "label", label)
+        return record
+
 
 class FlowTable:
     """A set of flows as one float64 matrix ``X[n, len(FEATURES)]`` in
     registry order and an int8 array ``codes[n]`` of label codes.
 
-    Every value is checked finite once, here. Rows read, iterate and assign
-    as FlowRecords.
+    Every value is checked finite once, here, so rows read back as
+    FlowRecords are not checked again. Rows read, iterate and assign as
+    FlowRecords; write values through ``table[i] = record``, which drops the
+    cached ``sorted_rows``.
     """
 
     def __init__(self, X: np.ndarray, codes: np.ndarray):
@@ -166,13 +177,15 @@ class FlowTable:
             raise ValueError("non-finite feature value in flow table")
         self.X = X
         self.codes = codes
+        self._sorted_rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.X.shape[0]
 
     def __getitem__(self, i: int) -> FlowRecord:
         code = int(self.codes[i])
-        return FlowRecord(dict(zip(FEATURES, self.X[i].tolist())), LABELS[code] if code >= 0 else None)
+        label = LABELS[code] if code >= 0 else None
+        return FlowRecord._checked(dict(zip(FEATURES, self.X[i].tolist())), label)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -180,6 +193,15 @@ class FlowTable:
     def __setitem__(self, i: int, record: FlowRecord) -> None:
         self.X[i] = [record.features[name] for name in FEATURES]
         self.codes[i] = -1 if record.label is None else LABEL_CODES[record.label]
+        self._sorted_rows = None
+
+    def sorted_rows(self) -> np.ndarray:
+        """Row indices sorted by each registry column, stably: row j of the
+        result lists the flows by (X[:, j], index). Computed on first use and
+        kept as int32, half the memory of numpy's index type."""
+        if self._sorted_rows is None:
+            self._sorted_rows = np.argsort(self.X.T, axis=1, kind="stable").astype(np.int32)
+        return self._sorted_rows
 
     def take(self, rows: np.ndarray) -> FlowTable:
         return FlowTable(self.X[rows], self.codes[rows])

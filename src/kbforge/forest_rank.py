@@ -1,34 +1,44 @@
-"""Random-forest regressor built from scratch, with mean-MSE-reduction importance.
+"""Random forest of regression trees on a 0/1 indicator, with mean-MSE-reduction importance.
 
-Split finding is exact and greedy: every registry feature is considered at
-every node (no feature subsampling) with candidate thresholds at midpoints of
-consecutive distinct values. Ties in split score break by alphabetical feature
-name, then smaller threshold, which makes training fully deterministic for a
-fixed (row order, params, seed). Per-tree randomness comes only from the
-bootstrap resample, seeded with ``seed XOR tree_index`` through numpy's PCG64,
-a documented generator with stable streams across platforms.
+The target is the one-vs-rest indicator of an attack: ``fit_forest`` takes
+only 0/1 values and raises ``ValueError`` for any other. Split finding is
+exact and greedy: every registry feature is considered at every node (no
+feature subsampling) with candidate thresholds at midpoints of consecutive
+distinct values. Ties in split score break by alphabetical feature name, then
+smaller threshold, which makes training fully deterministic for a fixed (row
+order, params, seed). Per-tree randomness comes only from the bootstrap
+resample, seeded with ``seed XOR tree_index`` through numpy's PCG64, a
+documented generator with stable streams across platforms.
 
 The search runs on a presorted column block (the "exact greedy" layout of
-XGBoost, Chen & Guestrin 2016). ``fit_forest`` transposes the feature matrix
-once, drops the columns that are constant across the dataset (they can never
-split) and argsorts each remaining column once, stably, so every row of the
-block lists record indices by (value, record index). A tree expands that order
-to its bootstrap multiset with ``np.repeat`` over the draw counts, which is
-the order a stable sort of each node's values over the sorted draws gives:
-ties stay in record order and repeated draws stay adjacent. One more row holds
-the draws themselves in ascending order, for the node mean. Each node is a
-column slice of the tree's one buffer. All live features are scored at once
-with row-wise cumulative sums, using the same elementwise expressions in the
-same order as a per-feature scan, so thresholds and reductions are
-bit-identical to it; the chosen split then partitions every row stably in
-place, and the children are the two halves of the node's slice. Scoring and
-partitioning take the rows in chunks of at most ``CHUNK_ELEMENTS`` elements,
-which bounds a node's temporaries, and so peak memory, whatever the data size.
+XGBoost, Chen & Guestrin 2016). The table argsorts each column once, stably,
+so every row of the block lists record indices by (value, record index);
+``fit_forest`` keeps the rows of the columns that vary across the dataset
+(the others can never split). A tree's bootstrap becomes a draw count per
+record, and its rows keep each drawn record once, in presorted order. Each
+node is a column slice of the tree's one buffer and knows its draw count and
+positive draws, handed down from its parent's chosen boundary.
+
+All live features are scored at once. One integer prefix sum per row gives,
+at every boundary, the draws and the positive draws on the left (both packed
+in one int64). For a 0/1 target the sum of squares equals the sum, so the
+counts are exactly the float cumulative sums of y and y * y that a
+per-feature scan over the draw multiset would take at that boundary;
+boundaries inside a run of one record's copies are never admissible, so
+dropping them loses nothing. The reduction keeps that scan's float
+expressions in the same order, so thresholds, reductions and leaf values
+(``s / n``) are bit-identical to it. The chosen split then partitions every
+row stably in place, and the children are the two halves of the node's
+slice; when both children are leaves (by depth, size or purity) the
+partition is skipped. Scoring and partitioning take the rows in chunks of
+at most ``CHUNK_ELEMENTS`` elements, which bounds a node's temporaries, and
+so peak memory, whatever the data size.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -80,123 +90,124 @@ class Forest:
     seed: int
 
 
-#: Most elements (feature rows x node samples) that one step of a node's split
+#: Most elements (feature rows x node records) that one step of a node's split
 #: search or partition handles at once; it caps the temporaries a node allocates.
 CHUNK_ELEMENTS = 1 << 15
+
+#: A record's draws and positive draws share one int64, ``draws + (positive
+#: draws << _SHIFT)``, so that one integer prefix sum counts both.
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
 
 
 class _TreeGrower:
     """Grows one tree over a slice-partitioned buffer of presorted record indices.
 
-    ``order`` has one row per entry of ``columns`` (record indices sorted by
-    that column's value, then by index) plus a last row of the same samples in
-    ascending index order; a node owns the columns ``lo:hi`` of every row.
+    ``order`` has one row per entry of ``columns``: the tree's drawn records,
+    each once, sorted by that column's value, then by index. A node owns the
+    columns ``lo:hi`` of every row; it also knows its draw count ``n`` and
+    the positive draws ``s`` among them.
     """
 
     def __init__(
         self,
         columns: np.ndarray,
         names: tuple[str, ...],
-        y: np.ndarray,
+        draws: np.ndarray,
         order: np.ndarray,
         params: ForestParams,
     ):
-        self.columns = columns
+        self.values = columns.ravel()
+        self.offsets = np.arange(0, columns.size, columns.shape[1])[:, None]
         self.names = names
-        self.y = y
+        self.draws = draws
         self.order = order
         self.params = params
-        self.n_root = order.shape[1]
+        self.n_root = columns.shape[1]
 
-    def grow(self, lo: int, hi: int, depth: int) -> TreeNode:
-        y_node = self.y[self.order[-1, lo:hi]]
-        n = hi - lo
-        mean = float(y_node.mean())
-        params = self.params
-        if depth >= params.max_depth or n < 2 * params.min_samples_leaf or np.all(y_node == y_node[0]):
-            return Leaf(value=mean, sample_count=n)
-        del y_node
-        best = self._best_split(lo, hi)
+    def _is_leaf(self, n: int, s: int, depth: int) -> bool:
+        return depth >= self.params.max_depth or n < 2 * self.params.min_samples_leaf or s in (0, n)
+
+    def grow(self, lo: int, hi: int, depth: int, n: int, s: int) -> TreeNode:
+        best = None if self._is_leaf(n, s, depth) else self._best_split(lo, hi, n, s)
         if best is None:
-            return Leaf(value=mean, sample_count=n)
+            # n is 0 only on the empty side of a midpoint rounded onto the upper value.
+            return Leaf(value=s / n if n else math.nan, sample_count=n)
 
-        reduction, column, threshold = best
-        mid = self._partition(lo, hi, column, threshold)
+        reduction, column, threshold, m_left, n_left, s_left = best
+        mid = lo + m_left
+        n_right, s_right = n - n_left, s - s_left
+        if not (self._is_leaf(n_left, s_left, depth + 1) and self._is_leaf(n_right, s_right, depth + 1)):
+            self._partition(lo, hi, column, m_left)
         return Split(
             feature=self.names[column],
             threshold=threshold,
-            left=self.grow(lo, mid, depth + 1),
-            right=self.grow(mid, hi, depth + 1),
+            left=self.grow(lo, mid, depth + 1, n_left, s_left),
+            right=self.grow(mid, hi, depth + 1, n_right, s_right),
             weighted_mse_reduction=reduction / self.n_root,
         )
 
-    def _best_split(self, lo: int, hi: int) -> tuple[float, int, float] | None:
-        """Return (sse_reduction, column, threshold) of the node's best split, or None.
+    def _best_split(self, lo: int, hi: int, n: int, s: int) -> tuple | None:
+        """Return (sse_reduction, column, threshold, records_left, n_left,
+        s_left) of the node's best split, or None.
 
-        Boundary i puts samples [0..i] of a row left and the rest right; it is
-        admissible when both sides hold at least min_samples_leaf samples,
-        which leaves positions first..last-1 and left counts first+1..last.
+        Boundary i puts records [0..i] of a row left and the rest right; it is
+        admissible when the values differ across it and both sides hold at
+        least min_samples_leaf draws.
         """
-        n = hi - lo
-        first, last = self.params.min_samples_leaf - 1, n - self.params.min_samples_leaf
-        n_left = np.arange(first + 1, last + 1, dtype=np.float64)
-        n_right = n - n_left
-        best: tuple[float, int, float] | None = None
-        step = max(1, CHUNK_ELEMENTS // n)
-        n_columns = self.columns.shape[0]
-        for r0 in range(0, n_columns, step):
-            r1 = min(r0 + step, n_columns)
-            rows = self.order[r0:r1, lo:hi]
-            vs = np.take_along_axis(self.columns[r0:r1], rows, axis=1)
-            cut = vs[:, first:last] < vs[:, first + 1 : last + 1]
-            live = np.flatnonzero(cut.any(axis=1))  # skip rows with no admissible boundary
-            if live.size == 0:
+        m = hi - lo
+        min_leaf = self.params.min_samples_leaf
+        total, total_n = float(s), float(n)
+        sse_total = total - (total * total) / total_n
+        best = None
+        step = max(1, CHUNK_ELEMENTS // m)
+        for r0 in range(0, self.order.shape[0], step):
+            rows = self.order[r0 : r0 + step, lo:hi]
+            vs = np.take(self.values, rows + self.offsets[r0 : r0 + step])
+            at = np.flatnonzero(vs[:, :-1] < vs[:, 1:])  # boundaries between distinct values, row-major
+            prefix = np.take(self.draws, rows).cumsum(axis=1).ravel()[at + at // (m - 1)]
+            n_left = prefix & _LOW
+            admissible = (n_left >= min_leaf) & (n_left <= n - min_leaf)
+            at, prefix, n_left = at[admissible], prefix[admissible], n_left[admissible]
+            if at.size == 0:
                 continue
-            if live.size < cut.shape[0]:
-                rows, vs, cut = rows[live], vs[live], cut[live]
-            ys = self.y[rows]
-            cum_y = np.cumsum(ys, axis=1)
-            cum_y2 = np.cumsum(ys * ys, axis=1)
-            del ys
-            total_y = cum_y[:, -1:]
-            total_y2 = cum_y2[:, -1:]
-            sum_left = cum_y[:, first:last]
-            sum2_left = cum_y2[:, first:last]
-            sse_left = sum2_left - (sum_left * sum_left) / n_left
-            sum_right = total_y - sum_left
-            sse_right = (total_y2 - sum2_left) - (sum_right * sum_right) / n_right
-            sse_total = total_y2 - (total_y * total_y) / n
-            reductions = sse_total - sse_left - sse_right
-            del cum_y, cum_y2, sum_left, sum2_left, sse_left, sum_right, sse_right
-            reductions[~cut] = -np.inf
-            # First maximum in a row is the smaller threshold; the first row
-            # among equal maxima is the lower registry index.
-            at = reductions.argmax(axis=1)
-            scores = reductions[np.arange(at.size), at]
-            r = int(scores.argmax())
-            if best is None or scores[r] > best[0]:
-                i = first + int(at[r])
+            # The per-feature search's expressions over float cumsums of a 0/1
+            # target, where sum(y * y) == sum(y): whole-number draw counts give
+            # every operand exactly, so each reduction is the same float.
+            nl = n_left.astype(np.float64)
+            sl = (prefix >> _SHIFT).astype(np.float64)
+            sr = total - sl
+            reductions = sse_total - (sl - (sl * sl) / nl) - (sr - (sr * sr) / (total_n - nl))
+            # The first maximum in row-major order is the lower registry index,
+            # then the smaller threshold.
+            j = int(reductions.argmax())
+            if best is None or reductions[j] > best[0]:
+                r, i = divmod(int(at[j]), m - 1)
                 threshold = float((vs[r, i] + vs[r, i + 1]) / 2.0)
-                best = (float(scores[r]), r0 + int(live[r]), threshold)
+                # Records with value <= threshold go left: records [0..i],
+                # unless the midpoint rounded onto vs[r, i + 1].
+                m_left = int(np.searchsorted(vs[r], threshold, side="right"))
+                packed = prefix[j] if m_left == i + 1 else self.draws[rows[r, :m_left]].sum()
+                counts = int(packed & _LOW), int(packed >> _SHIFT)
+                best = (float(reductions[j]), r0 + r, threshold, m_left, *counts)
         if best is None or best[0] <= 0.0:
             return None
         return best
 
-    def _partition(self, lo: int, hi: int, column: int, threshold: float) -> int:
-        """Move the node's samples with column value <= threshold to the front
-        of every row, keeping each side's order; return the boundary index."""
-        n = hi - lo
-        values = self.columns[column]
-        step = max(1, CHUNK_ELEMENTS // n)
+    def _partition(self, lo: int, hi: int, column: int, m_left: int) -> None:
+        """Move the node's first m_left records of row ``column`` to the front
+        of every row, keeping each side's order."""
+        m = hi - lo
+        left = np.zeros(self.n_root, dtype=bool)
+        left[self.order[column, lo : lo + m_left]] = True
+        step = max(1, CHUNK_ELEMENTS // m)
         for r0 in range(0, self.order.shape[0], step):
             rows = self.order[r0 : r0 + step, lo:hi]
-            left = values[rows] <= threshold
+            goes_left = np.take(left, rows)
             k = rows.shape[0]
-            n_left = int(np.count_nonzero(left[0]))
-            rows[:] = np.concatenate(
-                (rows[left].reshape(k, n_left), rows[~left].reshape(k, n - n_left)), axis=1
-            )
-        return lo + n_left
+            ahead = np.take(rows, np.flatnonzero(goes_left)).reshape(k, m_left)
+            rows[:, m_left:] = np.take(rows, np.flatnonzero(~goes_left)).reshape(k, m - m_left)
+            rows[:, :m_left] = ahead
 
 
 def fit_forest(
@@ -205,7 +216,8 @@ def fit_forest(
     params: ForestParams = ForestParams(),
     seed: int = 0,
 ) -> Forest:
-    """Train a forest of regression trees on the registry features.
+    """Train a forest of regression trees on the registry features for a 0/1
+    indicator target.
 
     Deterministic for a fixed (row order, params, seed); each tree sees a
     bootstrap resample of the same size when params.bootstrap is set.
@@ -213,30 +225,34 @@ def fit_forest(
     if len(table) < 2:
         raise ValueError("need at least 2 records to fit a forest")
     X = table.X
+    y = np.asarray(target, dtype=np.float64)
+    if y.shape != (X.shape[0],):
+        raise ValueError("target must be defined for every record")
+    positive = y == 1.0
+    if not (positive | (y == 0.0)).all():
+        raise ValueError("target must be a 0/1 indicator")
     varying = np.flatnonzero((X != X[0]).any(axis=0))
     if varying.size == 0:
         raise ValueError("need at least 2 distinct records to fit a forest")
-    y = np.asarray(target, dtype=np.float64)
-    if y.shape[0] != X.shape[0]:
-        raise ValueError("target must be defined for every record")
 
     n = X.shape[0]
     columns = np.ascontiguousarray(X[:, varying].T)
     names = tuple(FEATURES[j] for j in varying)
-    # Presorted rows, then the identity row that becomes the ascending draws.
-    block = np.vstack(
-        (np.argsort(columns, axis=1, kind="stable"), np.arange(n)[None, :])
-    ).astype(np.int32)
+    presorted = table.sorted_rows()[varying].ravel()
     trees = []
     for t in range(params.num_trees):
         if params.bootstrap:
             rng = np.random.Generator(np.random.PCG64(seed ^ t))
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            flat = block.ravel()
-            order = np.repeat(flat, counts[flat]).reshape(block.shape)
         else:
-            order = block.copy()
-        trees.append(_TreeGrower(columns, names, y, order, params).grow(0, n, depth=0))
+            counts = np.ones(n, dtype=np.int64)
+        # Each row keeps its drawn records, as numpy's index type (no cast per gather).
+        order = np.compress(np.take(counts > 0, presorted), presorted).reshape(varying.size, -1)
+        order = order.astype(np.intp)
+        positives = counts * positive
+        draws = counts + (positives << _SHIFT)
+        grower = _TreeGrower(columns, names, draws, order, params)
+        trees.append(grower.grow(0, order.shape[1], 0, n, int(positives.sum())))
     return Forest(trees=tuple(trees), params=params, seed=seed)
 
 

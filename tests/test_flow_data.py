@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,6 +164,14 @@ class TestFlowRecord:
         features["IAT"] = math.nan
         with pytest.raises(ValueError, match="non-finite"):
             FlowRecord(features=features)
+
+    def test_table_rows_read_back_without_revalidation(self):
+        # The table checked every value when it was built.
+        records = [make_record(AttackLabel.UDP_FLOOD, Min=2.5), make_record(None, IAT=1e-3)]
+        table = table_of(records)
+        with mock.patch.object(FlowRecord, "__post_init__", side_effect=AssertionError("re-validated")):
+            assert list(table) == records
+            assert table[1] == records[1]
 
 
 class TestLoadDataset:

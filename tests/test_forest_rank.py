@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbforge import forest_rank
-from kbforge.flow_data import FEATURES, AttackLabel
+from kbforge.cli import main
+from kbforge.flow_data import ATTACK_LABELS, FEATURES, LABEL_CODES, AttackLabel, FlowRecord, write_dataset
 from kbforge.forest_rank import (
     Forest,
     ForestParams,
@@ -21,6 +24,7 @@ from kbforge.forest_rank import (
     fit_forest,
     rank_features_for_attack,
 )
+from kbforge.synth_traffic import default_spec, generate_dataset
 
 from conftest import make_record, table_of
 
@@ -172,7 +176,7 @@ def count_splits(node):
 def forest_cases(draw):
     """Small matrices: few distinct values per column, the other registry
     columns constant, some columns copied under another name (exact ties
-    between features), and float targets drawn from a small pool."""
+    between features), and a 0/1 indicator target."""
     n = draw(st.integers(2, 60))
     names = draw(st.lists(st.sampled_from(FEATURES), min_size=1, max_size=6, unique=True))
     eighths = st.integers(-80, 80).map(lambda v: v / 8)
@@ -184,10 +188,7 @@ def forest_cases(draw):
             pool = draw(st.lists(eighths, min_size=1, max_size=8))
             columns[name] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     records = table_of([make_record(None, **{name: col[i] for name, col in columns.items()}) for i in range(n)])
-    target_pool = draw(
-        st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=2, max_size=4)
-    )
-    targets = draw(st.lists(st.sampled_from(target_pool), min_size=n, max_size=n))
+    targets = draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n))
     params = ForestParams(
         num_trees=draw(st.integers(1, 3)),
         max_depth=draw(st.integers(1, 12)),
@@ -216,7 +217,7 @@ class TestAgainstPerFeatureSearch:
         rng = np.random.Generator(np.random.PCG64(3))
         X = rng.normal(size=(600, len(FEATURES))).round(2)
         records = table_of([make_record(None, **dict(zip(FEATURES, map(float, row)))) for row in X])
-        targets = rng.normal(size=600)  # noise: deep trees
+        targets = (rng.random(600) < 0.5).astype(np.float64)  # a noisy indicator: deep trees
         params = ForestParams(num_trees=2, max_depth=12, min_samples_leaf=2)
         return records, targets, params, reference_fit_forest(records, targets, params, seed=5)
 
@@ -228,6 +229,24 @@ class TestAgainstPerFeatureSearch:
             forest = fit_forest(records, targets, params, seed=5)
         assert forest == expected
         assert feature_importance(forest).to_json() == feature_importance(expected).to_json()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's mean of an empty node
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_midpoint_rounding_onto_the_upper_value(self, bootstrap):
+        # Adjacent doubles whose midpoint rounds up to the larger one: the
+        # split at that boundary sends both values left, as `<= threshold`
+        # says, and leaves the right child empty.
+        low = 1.0 + 2.0**-52
+        high = float(np.nextafter(low, 2.0))
+        assert (low + high) / 2.0 == high
+        records = [make_record(None, Min=v, Std=float(i % 3))
+                   for i, v in enumerate([low, low, low, high, high, high, 2.0, 2.0])]
+        targets = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0]
+        params = ForestParams(num_trees=3, max_depth=4, min_samples_leaf=1, bootstrap=bootstrap)
+        expected = reference_fit_forest(records, targets, params, seed=1)
+        assert expected.trees[0].threshold == high
+        # repr, because the empty leaves' value is NaN, which equals nothing.
+        assert repr(fit_forest(table_of(records), targets, params, seed=1)) == repr(expected)
 
 
 class TestParams:
@@ -262,8 +281,20 @@ class TestFitForest:
 
     def test_constant_target_gives_single_leaves(self):
         records, _ = two_class_records(20)
-        forest = fit_forest(records, [0.5] * 20, ForestParams(num_trees=5), seed=0)
+        forest = fit_forest(records, [0.0] * 20, ForestParams(num_trees=5), seed=0)
         assert all(isinstance(tree, Leaf) for tree in forest.trees)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, float("nan")])
+    def test_rejects_targets_other_than_an_indicator(self, bad):
+        records, targets = two_class_records(20)
+        targets[3] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            fit_forest(records, targets, ForestParams(num_trees=1))
+
+    def test_rejects_target_of_the_wrong_length(self):
+        records, targets = two_class_records(20)
+        with pytest.raises(ValueError, match="every record"):
+            fit_forest(records, targets[:-1], ForestParams(num_trees=1))
 
     def test_deterministic_for_fixed_seed(self):
         records, targets = two_class_records(60, seed=3)
@@ -375,3 +406,63 @@ class TestReportSerialization:
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "feature,importance"
         assert lines[1].startswith("Max,")
+
+
+GOLDEN_RANK = Path(__file__).parent / "goldens" / "rank_noisy_sha256.json"
+
+
+#: One of the few seeds at which a tie between two thresholds of one feature
+#: decides a split that shows in the artifacts: breaking ties toward the
+#: larger threshold changes the golden bytes.
+RANK_SEED = 0
+
+
+def noisy_csv(tmp_path: Path, seed: int) -> Path:
+    """A seeded 400-row CSV at full jitter with 30 % of labels redrawn."""
+    table, _ = generate_dataset(default_spec(n_per_attack=100, jitter=1.0, seed=seed))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xDEE9))))
+    drawn = rng.random(len(table)) < 0.3
+    redrawn = rng.integers(0, 4, size=len(table))
+    codes = np.array([LABEL_CODES[attack] for attack in ATTACK_LABELS[:4]], dtype=np.int8)
+    table.codes[drawn] = codes[redrawn[drawn]]
+    path = tmp_path / "flows.csv"
+    write_dataset(table, path)
+    return path
+
+
+def run_rank(tmp_path: Path) -> Path:
+    """`rank` with 2 trees per attack on `noisy_csv`; they grow 23-37 splits each."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"forest": {"num_trees": 2, "min_samples_leaf": 2}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rank", "--dataset", str(noisy_csv(tmp_path, RANK_SEED)), "--config", str(config),
+                 "--seed", str(RANK_SEED), "--out", str(out)]) == 0
+    (rank_dir,) = out.glob("run-*/rank")
+    return rank_dir
+
+
+class TestRankGolden:
+    def test_noisy_rank_artifacts_match_golden(self, tmp_path):
+        expected = json.loads(GOLDEN_RANK.read_text(encoding="utf-8"))
+        assert len(expected) == 8
+        rank_dir = run_rank(tmp_path)
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(rank_dir.iterdir())
+        } == expected
+
+
+class TestPresort:
+    def test_four_attack_rank_sorts_the_columns_once(self, tmp_path):
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            rank_dir = run_rank(tmp_path)
+        assert len(list(rank_dir.glob("importance_*.json"))) == 4
+        assert argsort.call_count == 1
+
+    def test_row_write_between_fits_matches_a_fresh_table(self):
+        table, targets = two_class_records(40, seed=1)
+        params = ForestParams(num_trees=3, max_depth=6, min_samples_leaf=1)
+        fit_forest(table, targets, params, seed=2)
+        record = table[0]  # a positive: Min no longer separates the classes alone
+        table[0] = FlowRecord({**record.features, "Min": 0.0}, record.label)
+        fresh = table_of(list(table))
+        assert fit_forest(table, targets, params, seed=2) == fit_forest(fresh, targets, params, seed=2)
