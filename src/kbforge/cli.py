@@ -1,10 +1,11 @@
 """Command-line pipeline: rank, profile, kb build, synth, detect, eval, select.
 
-All subcommands share one JSON config. Each value comes from its flag, else
-its KBFORGE_* environment variable, else the config file, else its default;
-OVERRIDES lists every value a flag or a variable can set. The types that own
-a value validate it (the dataclass of its section, or its enum), so a bad
-config exits before any data is loaded. Artifacts land under
+All subcommands share one run config, a tree of frozen dataclasses rooted at
+RunConfig. Each value comes from its flag, else its KBFORGE_* environment
+variable, else the config file, else its field's default; OVERRIDES lists
+every value a flag or a variable can set. A field's annotation is the JSON
+type its value must have and its section's __post_init__ checks its range, so
+a bad config exits before any data is loaded. Artifacts land under
 <out>/run-<config digest>/ so a re-run with identical config and seed
 overwrites identical bytes, while a changed config gets a fresh directory.
 """
@@ -13,13 +14,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import dataclasses
+import enum
 import fcntl
 import hashlib
 import json
 import os
 import sys
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import canonical, detectors, evaluation, flow_data, forest_rank, kb_builder, profile as profile_mod
@@ -41,36 +44,152 @@ KB_VARIANTS = {
     "both": (evaluation.KbConfig.LONG_KB, evaluation.KbConfig.SHORT_KB),
 }
 
-DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "out": "out",
-    "k": 10,
-    "data": {"synth": {"n_per_attack": 500, "jitter": 0.3}},
-    "forest": dataclasses.asdict(forest_rank.ForestParams()),
-    "kb": {"variant": "both", "source": "canonical"},
-    "backend": {
-        "kind": "rule-oracle",
-        # Literal: LlmEndpointConfig.backoff_base_s is not a config key.
-        "llm": {
-            "base_url": "http://localhost:11434",
-            "model_name": "llama3.1:8b",
-            "request_timeout_s": 60.0,
-            "max_retries": 2,
-            "temperature": 0.0,
-            "api": "generate",
-            "max_in_flight": 4,
-        },
-        "rule_oracle": dataclasses.asdict(detectors.RuleOracleConfig()),
-        "replay": {"store_dir": "replays"},
-    },
-    "eval": {
-        "n_per_class": 500,
-        "kb_configs": ["no_kb", "long_kb", "short_kb"],
-        "best_effort": False,
-        "mode": "qualitative",
-        "workers": 1,
-    },
-}
+
+@dataclass(frozen=True)
+class SynthSection:
+    n_per_attack: int = 500
+    jitter: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.n_per_attack < 1:
+            raise ValueError("data.synth.n_per_attack must be >= 1")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError("data.synth.jitter must lie in [0, 1]")
+
+    def spec(self, seed: int) -> synth_traffic.SynthSpec:
+        return synth_traffic.default_spec(self.n_per_attack, self.jitter, seed)
+
+
+@dataclass(frozen=True)
+class DatasetSection:
+    path: str
+    label_column: str = "label"
+
+    def __post_init__(self) -> None:
+        if not Path(self.path).is_file():
+            raise ValueError(f"dataset path does not exist: {self.path!r}")
+
+
+@dataclass(frozen=True)
+class DataSection:
+    """The run's one data source; the other one stays None."""
+
+    synth: SynthSection | None = None
+    dataset: DatasetSection | None = None
+
+    def __post_init__(self) -> None:
+        if (self.synth is None) == (self.dataset is None):
+            raise ValueError("config must name exactly one data source (data.synth or data.dataset)")
+
+
+@dataclass(frozen=True)
+class KbSection:
+    variant: str = "both"
+    source: kb_builder.KbSource = kb_builder.KbSource.CANONICAL
+
+    def __post_init__(self) -> None:
+        if self.variant not in KB_VARIANTS:
+            raise ValueError(f"unknown kb variant: {self.variant!r}")
+
+
+@dataclass(frozen=True)
+class ReplaySection:
+    store_dir: str = "replays"
+
+
+@dataclass(frozen=True)
+class BackendSection:
+    kind: str = "rule-oracle"
+    llm: detectors.LlmEndpointConfig = detectors.LlmEndpointConfig()
+    rule_oracle: detectors.RuleOracleConfig = detectors.RuleOracleConfig()
+    replay: ReplaySection = ReplaySection()
+
+    def __post_init__(self) -> None:
+        if self.kind not in BACKENDS:
+            raise ValueError(f"unknown backend kind: {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class EvalSection:
+    n_per_class: int = 500
+    kb_configs: tuple[evaluation.KbConfig, ...] = tuple(evaluation.KbConfig)
+    best_effort: bool = False
+    mode: prompting.DescribeMode = prompting.DescribeMode.QUALITATIVE
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.n_per_class < 1 or self.workers < 1:
+            raise ValueError("eval.n_per_class and eval.workers must be >= 1")
+        if not self.kb_configs:
+            raise ValueError("eval.kb_configs must name at least one KB configuration")
+        if len(set(self.kb_configs)) < len(self.kb_configs):
+            raise ValueError("eval.kb_configs names a KB configuration more than once")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    seed: int = 0
+    out: str = "out"
+    k: int = 10
+    data: DataSection = DataSection(synth=SynthSection())
+    forest: forest_rank.ForestParams = forest_rank.ForestParams()
+    kb: KbSection = KbSection()
+    backend: BackendSection = BackendSection()
+    eval: EvalSection = EvalSection()
+    profiles_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.seed < 0 or self.k < 1:
+            raise ValueError("seed must be >= 0 and k >= 1")
+
+    def to_dict(self) -> dict:
+        """The config as JSON values, which its digest hashes; a None field is no key."""
+        return _to_json(self)
+
+
+def _to_json(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if f.metadata.get("config", True) and getattr(value, f.name) is not None}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def from_dict(cls, raw, prefix: str = ""):
+    """The dataclass `cls` built from a JSON object. Each key names a field,
+    whose annotation gives the JSON type of its value (an integer may stand
+    for a float, and stays an integer); a field left out keeps its default,
+    and the class's __post_init__ checks the values' ranges."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{prefix.rstrip('.')} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls) if f.metadata.get("config", True)}
+    unknown = sorted(raw.keys() - names)
+    if unknown:
+        raise ValueError(f"unknown config key: {prefix}{unknown[0]}")
+    return cls(**{key: _from_json(hints[key], value, prefix + key) for key, value in raw.items()})
+
+
+def _from_json(tp, value, name: str):
+    options = typing.get_args(tp)
+    if type(None) in options:  # X | None: the key may be left out, but is never null
+        (tp,) = (option for option in options if option is not type(None))
+    if dataclasses.is_dataclass(tp):
+        return from_dict(tp, value, name + ".")
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...], from a JSON list
+        if type(value) is not list:
+            raise TypeError(f"{name} must be a list")
+        return tuple(_from_json(options[0], item, name) for item in value)
+    if issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ValueError(f"{name} must be one of {[member.value for member in tp]}") from None
+    if type(value) is tp or (tp is float and type(value) is int):
+        return value
+    raise TypeError(f"{name} must be of type {tp.__name__}")
+
 
 #: Every config value a flag or an environment variable sets:
 #: (dotted config key, KBFORGE_* variable or None, argparse dest, type, help).
@@ -93,70 +212,39 @@ OVERRIDES = (
 )
 
 
-def _set_path(config: dict, dotted: str, value) -> None:
-    node = config
+def _set_path(raw: dict, dotted: str, value) -> None:
     *parents, leaf = dotted.split(".")
-    for key in parents:
-        node = node.setdefault(key, {})
-    node[leaf] = value
+    for depth, key in enumerate(parents):
+        raw = raw.setdefault(key, {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {'.'.join(parents[:depth + 1])} must be a JSON object")
+    raw[leaf] = value
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-#: Every key a config may hold, with its default. The keys beyond
-#: DEFAULT_CONFIG's stay out of it, so that configs without them keep their
-#: digest; a data.dataset section takes its label_column from here.
-SCHEMA: dict = _merge(
-    DEFAULT_CONFIG, {"profiles_path": "", "data": {"dataset": {"path": "", "label_column": "label"}}}
-)
-
-
-def _check_keys(given: dict, known: dict, prefix: str = "") -> None:
-    """Reject a config-file key the program does not read, or a value of
-    another JSON type than its default (an integer may stand for a float)."""
-    for key, value in given.items():
-        name = prefix + key
-        if key not in known:
-            raise ConfigError(f"unknown config key: {name}")
-        default = known[key]
-        if isinstance(default, dict) and isinstance(value, dict):
-            _check_keys(value, default, name + ".")
-        elif type(value) is not type(default) and not (type(default) is float and type(value) is int):
-            raise ConfigError(f"config {name} must be of type {type(default).__name__}")
-
-
-def build_config(args: argparse.Namespace) -> dict:
+def load(args: argparse.Namespace) -> RunConfig:
     """The run config: each value from its flag, else its KBFORGE_* variable,
-    else the config file, else its default. The data source is the one a flag
-    selects (--synth over --dataset), else the one the file names, else synth;
-    the file's values for that source are kept."""
-    given: dict = {}
+    else the config file, else its field's default. The data source is the one
+    a flag selects (--synth over --dataset), else the one the file names, else
+    synth; the file's values for that source are kept."""
+    raw: dict = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            given = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(given, dict):
+        if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        _check_keys(given, SCHEMA)
-    config = _merge(DEFAULT_CONFIG, given)
 
-    data = given.get("data") or {"synth": {}}
+    data = raw.get("data") or {"synth": {}}
+    if not isinstance(data, dict):
+        raise ConfigError("config data must be a JSON object")
     chosen = "synth" if args.synth else "dataset" if args.dataset is not None else None
     if chosen is not None:
         data = {chosen: data.get(chosen, {})}
-    config["data"] = {name: _merge(SCHEMA["data"][name], section) for name, section in data.items()}
+    raw["data"] = data
 
     for dotted, env, dest, cast, _ in OVERRIDES:
         value = getattr(args, dest)
@@ -167,55 +255,30 @@ def build_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"bad value for {env}: {exc}") from exc
         keys = dotted.split(".")
         # A data source's values apply only when that source is in use.
-        if value is not None and (keys[0] != "data" or keys[1] in config["data"]):
-            _set_path(config, dotted, value)
+        if value is not None and (keys[0] != "data" or keys[1] in data):
+            _set_path(raw, dotted, value)
 
-    if args.command == "synth" and "synth" not in config["data"]:
+    try:
+        config = from_dict(RunConfig, raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
+    if args.command == "synth" and config.data.synth is None:
         raise ConfigError("synth subcommand needs a data.synth source")
-    validate_config(config)
     return config
 
 
-def validate_config(config: dict) -> None:
-    """Raise ConfigError for a config the run cannot use. Each typed section
-    is built from its values and each enum-valued key goes through its enum,
-    so the types that own a value are the ones that check it."""
-    data = config["data"]
-    if len(data) != 1:
-        raise ConfigError("config must name exactly one data source (data.synth or data.dataset)")
-    if "dataset" in data and not Path(data["dataset"]["path"]).is_file():
-        raise ConfigError(f"dataset path does not exist: {data['dataset']['path']!r}")
-    if config.get("profiles_path") and not Path(config["profiles_path"]).exists():
-        raise ConfigError(f"profiles path does not exist: {config['profiles_path']}")
-    if config["backend"]["kind"] not in BACKENDS:
-        raise ConfigError(f"unknown backend kind: {config['backend']['kind']!r}")
-    if config["kb"]["variant"] not in KB_VARIANTS:
-        raise ConfigError(f"unknown kb variant: {config['kb']['variant']!r}")
-    if config["seed"] < 0 or config["k"] < 1 or config["eval"]["n_per_class"] < 1:
-        raise ConfigError("seed must be >= 0, and k and eval.n_per_class >= 1")
-    if not config["eval"]["kb_configs"]:
-        raise ConfigError("eval.kb_configs must name at least one KB configuration")
-    try:
-        if "synth" in data:
-            synth_traffic.default_spec(seed=config["seed"], **data["synth"])
-        forest_rank.ForestParams(**config["forest"])
-        detectors.RuleOracleConfig(**config["backend"]["rule_oracle"])
-        detectors.LlmEndpointConfig(**config["backend"]["llm"])
-        kb_builder.KbSource(config["kb"]["source"])
-        prompting.DescribeMode(config["eval"]["mode"])
-        for name in config["eval"]["kb_configs"]:
-            evaluation.KbConfig(name)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+def build_config(args: argparse.Namespace) -> dict:
+    """The run config of `args` as JSON values."""
+    return load(args).to_dict()
 
 
-def config_digest(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def config_digest(config: RunConfig) -> str:
+    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def artifact_dir(config: dict) -> Path:
-    return Path(config["out"]) / f"run-{config_digest(config)}"
+def artifact_dir(config: RunConfig) -> Path:
+    return Path(config.out) / f"run-{config_digest(config)}"
 
 
 class RunLock:
@@ -246,58 +309,54 @@ class RunLock:
 # ---------------------------------------------------------------------------
 
 
-def _load_table(config: dict) -> flow_data.FlowTable:
-    data = config["data"]
-    if "synth" in data:
-        spec = synth_traffic.default_spec(seed=config["seed"], **data["synth"])
-        table, _ = synth_traffic.generate_dataset(spec)
+def _load_table(config: RunConfig) -> flow_data.FlowTable:
+    dataset = config.data.dataset
+    if dataset is None:
+        table, _ = synth_traffic.generate_dataset(config.data.synth.spec(config.seed))
         return table
-    dataset = data["dataset"]
-    table, _ = flow_data.load_dataset(dataset["path"], label_column=dataset["label_column"])
+    table, _ = flow_data.load_dataset(dataset.path, label_column=dataset.label_column)
     return table
 
 
-def _rank_all(config: dict, table) -> dict[flow_data.AttackLabel, forest_rank.ImportanceReport]:
-    params = forest_rank.ForestParams(**config["forest"])
+def _rank_all(config: RunConfig, table) -> dict[flow_data.AttackLabel, forest_rank.ImportanceReport]:
     reports = {}
     for attack in flow_data.ATTACK_LABELS:
         if table.has_label(attack).any():
             reports[attack] = forest_rank.rank_features_for_attack(
-                table, attack, params=params, seed=config["seed"]
+                table, attack, params=config.forest, seed=config.seed
             )
     if not reports:
         raise RuntimeError("no attack-labeled records to rank")
     return reports
 
 
-def _build_profiles(config: dict, table) -> list[profile_mod.AttackProfile]:
+def _build_profiles(config: RunConfig, table) -> list[profile_mod.AttackProfile]:
     reports = _rank_all(config, table)
     return [
-        profile_mod.build_attack_profile(table, attack, report, k=config["k"])
+        profile_mod.build_attack_profile(table, attack, report, k=config.k)
         for attack, report in reports.items()
     ]
 
 
-def _resolve_profiles(config: dict, table=None) -> list[profile_mod.AttackProfile]:
-    profiles_path = config.get("profiles_path")
-    if profiles_path:
-        return profile_mod.profiles_from_json(
-            Path(profiles_path).read_text(encoding="utf-8")
-        )
-    if config["kb"]["source"] == "canonical":
+def _resolve_profiles(config: RunConfig, given, table=None) -> list[profile_mod.AttackProfile]:
+    """The profiles file's profiles (`given`, read before the run lock), else
+    the bundled ones or ones built from the data, as kb.source says."""
+    if given is not None:
+        return given
+    if config.kb.source is kb_builder.KbSource.CANONICAL:
         return list(canonical.REFERENCE_PROFILES.values())
     if table is None:
         table = _load_table(config)
     return _build_profiles(config, table)
 
 
-def _text_kb(config: dict, kb_config: evaluation.KbConfig, profiles) -> kb_builder.KnowledgeBase | None:
+def _text_kb(config: RunConfig, kb_config: evaluation.KbConfig, profiles) -> kb_builder.KnowledgeBase | None:
     """The KB text a KB configuration names: the bundled one, or one rendered
     from the profiles, as kb.source says."""
     if kb_config is evaluation.KbConfig.NO_KB:
         return None
     long = kb_config is evaluation.KbConfig.LONG_KB
-    if config["kb"]["source"] == "canonical":
+    if config.kb.source is kb_builder.KbSource.CANONICAL:
         return kb_builder.canonical_kb(kb_builder.KbVariant.LONG if long else kb_builder.KbVariant.SHORT)
     if long:
         return kb_builder.render_long_kb(profiles)
@@ -305,17 +364,13 @@ def _text_kb(config: dict, kb_config: evaluation.KbConfig, profiles) -> kb_build
 
 
 @contextlib.contextmanager
-def _detector(config: dict, profiles):
+def _detector(config: RunConfig, profiles):
     """The run's one detector, closed when the run is done with it."""
-    backend = config["backend"]
-    if backend["kind"] == "rule-oracle":
-        oracle_cfg = detectors.RuleOracleConfig(**backend["rule_oracle"])
-        detector = detectors.RuleOracleDetector(kb_builder.structured_kb(profiles), oracle_cfg)
-    elif backend["kind"] == "llm":
-        detector = detectors.LlmDetector(
-            detectors.LlmEndpointConfig(**backend["llm"]),
-            mode=prompting.DescribeMode(config["eval"]["mode"]),
-        )
+    backend = config.backend
+    if backend.kind == "rule-oracle":
+        detector = detectors.RuleOracleDetector(kb_builder.structured_kb(profiles), backend.rule_oracle)
+    elif backend.kind == "llm":
+        detector = detectors.LlmDetector(backend.llm, mode=config.eval.mode)
     else:
         detector = detectors.ReplayDetector()
     try:
@@ -325,19 +380,37 @@ def _detector(config: dict, profiles):
             detector.close()  # its idle keep-alive connections
 
 
-def _kb_input(config: dict, kb_config: evaluation.KbConfig, profiles):
+def _kb_input(config: RunConfig, kb_config: evaluation.KbConfig, profiles):
     """What the detector classifies with under a KB configuration: nothing for
     the rule oracle, which reads the structured KB it was built on; the KB
     text for the LLM; <store_dir>/<kb_config>.jsonl for replay."""
-    backend = config["backend"]
-    if backend["kind"] == "rule-oracle":
+    if config.backend.kind == "rule-oracle":
         return None
-    if backend["kind"] == "llm":
+    if config.backend.kind == "llm":
         return _text_kb(config, kb_config, profiles)
-    store_path = Path(backend["replay"]["store_dir"]) / f"{kb_config.value}.jsonl"
+    store_path = Path(config.backend.replay.store_dir) / f"{kb_config.value}.jsonl"
     if not store_path.exists():
         raise RuntimeError(f"replay store not found: {store_path}")
     return detectors.ReplayStore.load(store_path)
+
+
+def _read_inputs(args: argparse.Namespace, config: RunConfig) -> None:
+    """Check that the --input and --grid files a run names exist, and parse
+    its --record and profiles file, before the run lock: a bad one exits 2 and
+    leaves no run directory. A parsed value replaces its text on `args`."""
+    for flag in ("input", "grid"):
+        path = getattr(args, flag, None)
+        if path is not None and not Path(path).is_file():
+            raise ConfigError(f"--{flag} file does not exist: {path!r}")
+    if getattr(args, "record", None):
+        args.record = _parse_record(args.record)
+    args.profiles = None
+    if config.profiles_path:
+        try:
+            text = Path(config.profiles_path).read_text(encoding="utf-8")
+            args.profiles = profile_mod.profiles_from_json(text)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad profiles file {config.profiles_path}: {exc}") from None
 
 
 def _parse_record(text: str) -> flow_data.FlowRecord:
@@ -364,7 +437,7 @@ def _parse_record(text: str) -> flow_data.FlowRecord:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rank(config: dict, args: argparse.Namespace) -> Path:
+def cmd_rank(config: RunConfig, args: argparse.Namespace) -> Path:
     reports = _rank_all(config, _load_table(config))
     out = artifact_dir(config) / "rank"
     for attack, report in reports.items():
@@ -373,17 +446,17 @@ def cmd_rank(config: dict, args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_profile(config: dict, args: argparse.Namespace) -> Path:
+def cmd_profile(config: RunConfig, args: argparse.Namespace) -> Path:
     profiles = _build_profiles(config, _load_table(config))
     out = artifact_dir(config) / "profile"
     profile_mod.write_profiles(profiles, out / "profiles.json")
     return out
 
 
-def cmd_kb_build(config: dict, args: argparse.Namespace) -> Path:
+def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> Path:
     out = artifact_dir(config) / "kb"
-    profiles = _resolve_profiles(config)
-    for kb_config in KB_VARIANTS[config["kb"]["variant"]]:
+    profiles = _resolve_profiles(config, args.profiles)
+    for kb_config in KB_VARIANTS[config.kb.variant]:
         kb = _text_kb(config, kb_config, profiles)
         if kb is not None:
             kb_builder.write_kb(kb, out)
@@ -395,10 +468,10 @@ def cmd_kb_build(config: dict, args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_synth(config: dict, args: argparse.Namespace) -> Path:
-    spec = synth_traffic.default_spec(seed=config["seed"], **config["data"]["synth"])
-    if config.get("profiles_path"):
-        spec = dataclasses.replace(spec, profiles=tuple(_resolve_profiles(config)))
+def cmd_synth(config: RunConfig, args: argparse.Namespace) -> Path:
+    spec = config.data.synth.spec(config.seed)
+    if args.profiles is not None:
+        spec = dataclasses.replace(spec, profiles=tuple(args.profiles))
     table, summary = synth_traffic.generate_dataset(spec)
     out = artifact_dir(config) / "synth"
     flow_data.write_dataset(table, out / "synth.csv")
@@ -408,15 +481,15 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
+def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
     if args.record:
-        records = [args.record]  # parsed by main before the run lock
+        records = [args.record]  # parsed before the run lock
     elif args.input:
         records, _ = flow_data.load_dataset(args.input, require_labels=False)
     else:
         records = _load_table(config)
-    profiles = _resolve_profiles(config)
-    kb = _kb_input(config, KB_VARIANTS[config["kb"]["variant"]][0], profiles)
+    profiles = _resolve_profiles(config, args.profiles)
+    kb = _kb_input(config, KB_VARIANTS[config.kb.variant][0], profiles)
 
     out = artifact_dir(config) / "detect"
     out.mkdir(parents=True, exist_ok=True)
@@ -437,15 +510,13 @@ def cmd_detect(config: dict, args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
+def cmd_eval(config: RunConfig, args: argparse.Namespace) -> Path:
     table = _load_table(config)
-    sample = flow_data.stratified_sample(
-        table, n_per_class=config["eval"]["n_per_class"], seed=config["seed"]
-    )
-    profiles = _resolve_profiles(config, table)
+    sample = flow_data.stratified_sample(table, n_per_class=config.eval.n_per_class, seed=config.seed)
+    profiles = _resolve_profiles(config, args.profiles, table)
     # Every KB configuration's input first, so a missing replay store fails
     # before any artifact is written.
-    kb_configs = [evaluation.KbConfig(name) for name in config["eval"]["kb_configs"]]
+    kb_configs = config.eval.kb_configs
     kb_inputs = [_kb_input(config, kb_config, profiles) for kb_config in kb_configs]
     grid = evaluation.EvaluationGrid()
     out = artifact_dir(config) / "eval"
@@ -459,8 +530,8 @@ def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
                 detector,
                 sample,
                 kb,
-                strict=not config["eval"]["best_effort"],
-                workers=config["eval"]["workers"],
+                strict=not config.eval.best_effort,
+                workers=config.eval.workers,
             )
             (confusion_dir / f"{stem}_{kb_config.value}.json").write_text(
                 json.dumps(cm.to_dict(), indent=2) + "\n", encoding="utf-8"
@@ -474,7 +545,7 @@ def cmd_eval(config: dict, args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_select(config: dict, args: argparse.Namespace) -> Path:
+def cmd_select(config: RunConfig, args: argparse.Namespace) -> Path:
     if args.grid:
         grid = evaluation.EvaluationGrid.from_json(Path(args.grid).read_text(encoding="utf-8"))
     elif args.reference:
@@ -571,10 +642,8 @@ def main(argv: list[str] | None = None) -> int:
         "kb": cmd_kb_build,
     }
     try:
-        config = build_config(args)
-        if getattr(args, "record", None):
-            # Before the lock, so a malformed record leaves no run directory.
-            args.record = _parse_record(args.record)
+        config = load(args)
+        _read_inputs(args, config)
         with RunLock(artifact_dir(config)):
             out = handlers[args.command](config, args)
         print(f"artifacts: {out}", file=sys.stderr)

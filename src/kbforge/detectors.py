@@ -162,7 +162,7 @@ class LlmEndpointConfig:
     temperature: float = 0.0
     api: str = "generate"  # "generate" (Ollama) or "chat" (chat completions)
     max_in_flight: int = 4
-    backoff_base_s: float = 0.25
+    backoff_base_s: float = field(default=0.25, metadata={"config": False})  # tuned in code, no config key
 
     def __post_init__(self) -> None:
         url = urlsplit(self.base_url)

@@ -96,9 +96,7 @@ class DescriptorKind(Enum):
     MUST_EQUAL = "must-equal"
     HIGH = "high"
     LOW = "low"
-    ELEVATED = "elevated"
     RANGE = "range"
-    TYPICAL = "typical"
 
 
 @dataclass(frozen=True)
@@ -114,14 +112,10 @@ class Descriptor:
             return f"High {shown}"
         if self.kind is DescriptorKind.LOW:
             return f"Low {shown}"
-        if self.kind is DescriptorKind.ELEVATED:
-            return f"Elevated {shown}"
-        if self.kind is DescriptorKind.RANGE:
-            return (
-                f"{shown} between {format_number(self.values[0])} "
-                f"and {format_number(self.values[1])}"
-            )
-        return f"{shown} typically {format_number(self.values[0])}"
+        return (  # RANGE
+            f"{shown} between {format_number(self.values[0])} "
+            f"and {format_number(self.values[1])}"
+        )
 
 
 @dataclass(frozen=True)

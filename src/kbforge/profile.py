@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow_data import FEATURE_INDEX, AttackLabel, FlowTable
+from .flow_data import FEATURE_INDEX, AttackLabel, FlowTable, canonicalize_label
 from .forest_rank import ImportanceReport
 
 
@@ -107,22 +107,27 @@ def profiles_to_json(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) 
 
 
 def profiles_from_json(text: str) -> list[AttackProfile]:
-    from .flow_data import canonicalize_label
-
+    """The profiles of a profiles_to_json list. An entry that lacks a key,
+    names no attack label or profiles a feature outside the registry raises
+    ValueError naming its index."""
     out = []
-    for entry in json.loads(text):
-        out.append(
-            AttackProfile(
-                attack=canonicalize_label(entry["attack"]),
-                ranked_features=tuple(
-                    FeatureProfile(
-                        feature=f["feature"], min=f["min"], median=f["median"], max=f["max"]
-                    )
-                    for f in entry["features"]
-                ),
-                k=entry["k"],
+    for index, entry in enumerate(json.loads(text)):
+        try:
+            attack = canonicalize_label(entry["attack"])
+            if attack is AttackLabel.UNKNOWN:
+                raise ValueError(f"attack {entry['attack']!r} matches no attack label")
+            unknown = [f["feature"] for f in entry["features"] if f["feature"] not in FEATURE_INDEX]
+            if unknown:
+                raise ValueError(f"features outside the registry: {unknown}")
+            ranked = tuple(
+                FeatureProfile(feature=f["feature"], min=f["min"], median=f["median"], max=f["max"])
+                for f in entry["features"]
             )
-        )
+            out.append(AttackProfile(attack=attack, ranked_features=ranked, k=entry["k"]))
+        except KeyError as exc:
+            raise ValueError(f"entry {index}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {index}: {exc}") from None
     return out
 
 

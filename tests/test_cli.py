@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import copy
-import dataclasses
 import fcntl
 import gc
 import json
@@ -15,14 +13,31 @@ from pathlib import Path
 import pytest
 
 import kbforge
-from kbforge.cli import DEFAULT_CONFIG, OVERRIDES, artifact_dir, build_config, build_parser, main
-from kbforge.detectors import LlmEndpointConfig, ReplayStore, RuleOracleConfig
+from kbforge.canonical import REFERENCE_PROFILES
+from kbforge.cli import (
+    OVERRIDES, BackendSection, DataSection, RunConfig, SynthSection, artifact_dir, build_parser, load, main,
+)
+from kbforge.detectors import ReplayStore
 from kbforge.flow_data import AttackLabel, stratified_sample
-from kbforge.forest_rank import ForestParams
+from kbforge.profile import profiles_to_json
 from kbforge.prompting import record_digest
-from kbforge.synth_traffic import default_spec, generate_dataset
+from kbforge.synth_traffic import generate_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_example() -> dict:
+    """The example config of the README's "Config file" section."""
+    section = README.read_text(encoding="utf-8").split("### Config file", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+@pytest.fixture
+def no_env_overrides(monkeypatch):
+    for _, name, _, _, _ in OVERRIDES:
+        if name is not None:
+            monkeypatch.delenv(name, raising=False)
 
 
 def run_cli(*argv: str) -> int:
@@ -117,12 +132,18 @@ class TestValidation:
             (None, ("synth", "--dataset", __file__)),
             ({"eval": {"kb_configs": []}}, ("eval", "--n-per-class", "5")),
             ({"backend": {"llm": {"base_url": "localhost:11434"}}}, ("eval", "--backend", "llm")),
+            (None, ("detect", "--input", "nope.csv")),
+            (None, ("select", "--grid", "nope.json")),
+            ({"eval": {"workers": -3}}, ("eval",)),
+            ({"eval": {"kb_configs": ["no_kb", "no_kb"]}}, ("eval",)),
         ],
         ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
              "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset",
-             "no-kb-configs", "base-url-no-scheme"],
+             "no-kb-configs", "base-url-no-scheme", "detect-input-missing", "select-grid-missing",
+             "workers-neg", "kb-configs-repeated"],
     )
-    def test_invalid_config_exit_2_before_any_work(self, tmp_path, capsys, file_config, argv):
+    def test_invalid_config_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, file_config, argv):
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out"
         flags = ["--n-per-attack", "20", "--out", str(out)]
         if file_config is not None:
@@ -132,6 +153,30 @@ class TestValidation:
         assert run_cli(*argv, *flags) == 2
         report = json.loads(capsys.readouterr().err.strip().splitlines()[0])
         assert report["error"]["kind"] == "config"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "entry,problem",
+        [
+            ({"attack": "DDoS-ICMP_Flood", "k": 1}, "missing key 'features'"),
+            ({"attack": "Bogus", "k": 1, "features": []}, "'Bogus' matches no attack label"),
+            ({"attack": "DDoS-ICMP_Flood", "k": 1,
+              "features": [{"feature": "Bogus", "min": 0.0, "median": 1.0, "max": 2.0}]}, "['Bogus']"),
+        ],
+        ids=["missing-key", "unknown-attack", "unknown-feature"],
+    )
+    @pytest.mark.parametrize("argv", [("synth",), ("eval",), ("kb", "build", "--generated")])
+    def test_bad_profiles_entry_exit_2_before_any_work(self, tmp_path, capsys, entry, problem, argv):
+        profiles = tmp_path / "profiles.json"
+        good = json.loads(profiles_to_json([REFERENCE_PROFILES[AttackLabel.UDP_FLOOD]]))
+        profiles.write_text(json.dumps(good + [entry]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--profiles", str(profiles), "--n-per-attack", "5", "--out", str(out)) == 2
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert report["error"]["kind"] == "config"
+        assert f"{profiles}: entry 1: " in report["error"]["message"]
+        assert problem in report["error"]["message"]
         assert not out.exists()
 
 
@@ -153,34 +198,61 @@ class TestConfigPrecedence:
         csv_path.write_text("", encoding="utf-8")
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"data": {"dataset": {"path": str(csv_path)}}}), encoding="utf-8")
-        from_file = build_config(build_parser().parse_args(["rank", "--config", str(config)]))
-        from_flag = build_config(build_parser().parse_args(["rank", "--dataset", str(csv_path)]))
+        from_file = load(build_parser().parse_args(["rank", "--config", str(config)]))
+        from_flag = load(build_parser().parse_args(["rank", "--dataset", str(csv_path)]))
         assert from_file == from_flag
 
     # Run-directory names of earlier releases: a config refactor must not move them.
+    # "c.json" holds the case's file config; the bench-* configs are those
+    # benchmarks/run.py writes at seed 7, with out and base_url fixed.
     @pytest.mark.parametrize(
-        "env,argv,run_dir",
+        "env,file_config,argv,run_dir",
         [
-            ({}, "synth --out out", "run-e7daee8ce0b3"),
-            ({}, "eval --backend rule-oracle --synth --n-per-attack 60 --seed 11 --jitter 0.3 "
-                 "--n-per-class 40 --out out", "run-f221f1739089"),
-            ({"KBFORGE_SEED": "99", "KBFORGE_BACKEND": "llm", "KBFORGE_MODEL": "phi3:mini"},
+            ({}, None, "synth --out out", "run-e7daee8ce0b3"),
+            ({}, None, "eval --backend rule-oracle --synth --n-per-attack 60 --seed 11 --jitter 0.3 "
+                       "--n-per-class 40 --out out", "run-f221f1739089"),
+            ({"KBFORGE_SEED": "99", "KBFORGE_BACKEND": "llm", "KBFORGE_MODEL": "phi3:mini"}, None,
              "eval --out out", "run-2a8397d4d2ac"),
-            ({}, "rank --dataset flows.csv --seed 7 --out out", "run-4515a5e8d6d4"),
-            ({}, "kb build --canonical --variant long --out out", "run-f7fe5d4c17e2"),
+            ({}, None, "rank --dataset flows.csv --seed 7 --out out", "run-4515a5e8d6d4"),
+            ({}, None, "kb build --canonical --variant long --out out", "run-f7fe5d4c17e2"),
+            ({}, "readme", "eval --config c.json", "run-c5597b4f8a41"),
+            ({}, {"seed": 7, "out": "out", "eval": {"workers": 1},
+                  "forest": {"num_trees": 30, "max_depth": 12, "min_samples_leaf": 5, "bootstrap": True}},
+             "eval --config c.json --backend rule-oracle --kb-source generated --synth "
+             "--n-per-attack 500 --jitter 0.3 --n-per-class 500", "run-155ff321b3ff"),
+            ({}, {"seed": 7, "out": "out",
+                  "forest": {"num_trees": 2, "max_depth": 12, "min_samples_leaf": 5, "bootstrap": True}},
+             "rank --config c.json --dataset flows.csv", "run-886d13e6f782"),
+            ({}, {"seed": 7, "out": "out", "eval": {"workers": 2},
+                  "backend": {"llm": {"base_url": "http://127.0.0.1:8765", "max_in_flight": 2,
+                                      "request_timeout_s": 30.0, "max_retries": 2}}},
+             "eval --config c.json --backend llm --kb-source canonical --synth --n-per-attack 50 "
+             "--jitter 0.3 --n-per-class 50", "run-4e0113764055"),
+            ({}, {"data": {"synth": {"jitter": 1}}}, "synth --config c.json", "run-55c3520168dc"),
+            ({}, None, "synth --profiles profiles.json --n-per-attack 20 --out out", "run-19a62068769b"),
+            ({}, {"data": {"dataset": {"path": "flows.csv", "label_column": "Label"}}},
+             "rank --config c.json", "run-741d05a3d991"),
+            ({"KBFORGE_OUT": "env-out", "KBFORGE_KB": "short", "KBFORGE_KB_SOURCE": "generated",
+              "KBFORGE_N_PER_CLASS": "30", "KBFORGE_BASE_URL": "http://10.0.0.2:8080"}, None,
+             "eval --backend llm", "run-d7b414d73c43"),
         ],
-        ids=["synth", "eval-synth-flags", "eval-env", "rank-dataset", "kb-build"],
+        ids=["synth", "eval-synth-flags", "eval-env", "rank-dataset", "kb-build", "readme-example",
+             "bench-shallow-synth", "bench-deep-csv", "bench-llm-stub", "int-for-float", "profiles",
+             "dataset-label-column", "env-overrides"],
     )
-    def test_run_dir_names_are_pinned(self, tmp_path, monkeypatch, env, argv, run_dir):
+    def test_run_dir_names_are_pinned(self, tmp_path, monkeypatch, no_env_overrides, env, file_config, argv,
+                                      run_dir):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "flows.csv").write_text("", encoding="utf-8")
-        for _, name, _, _, _ in OVERRIDES:
-            if name is not None:
-                monkeypatch.delenv(name, raising=False)
+        (tmp_path / "profiles.json").write_text(profiles_to_json(list(REFERENCE_PROFILES.values())),
+                                                encoding="utf-8")
+        if file_config is not None:
+            config = readme_example() if file_config == "readme" else file_config
+            (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        config = build_config(build_parser().parse_args(argv.split()))
-        assert artifact_dir(config) == Path("out") / run_dir
+        config = load(build_parser().parse_args(argv.split()))
+        assert artifact_dir(config).name == run_dir
 
     def test_kb_build_run_dir_through_main(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -189,22 +261,17 @@ class TestConfigPrecedence:
 
 
 class TestConfigDrift:
-    @pytest.mark.parametrize(
-        "section,cls",
-        [
-            (DEFAULT_CONFIG["forest"], ForestParams),
-            (DEFAULT_CONFIG["backend"]["rule_oracle"], RuleOracleConfig),
-            (DEFAULT_CONFIG["backend"]["llm"], LlmEndpointConfig),
-        ],
-        ids=["forest", "rule_oracle", "llm"],
-    )
-    def test_default_sections_match_dataclass_defaults(self, section, cls):
-        defaults = dataclasses.asdict(cls())
-        defaults.pop("backoff_base_s", None)  # tuned in code, not a config key
-        assert section == defaults
+    def test_readme_example_shows_every_key_and_its_default(self, tmp_path, monkeypatch, no_env_overrides):
+        # to_dict() gives every key, so a key the example lacks, or one whose
+        # type or default the example misstates, fails here.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(readme_example()), encoding="utf-8")
+        config = load(build_parser().parse_args(["eval", "--config", "c.json"]))
+        assert config.to_dict() == readme_example()
+        assert config == RunConfig(seed=7, backend=BackendSection(kind="llm"))
 
     def test_readme_lists_the_override_variables(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         paragraph = readme.split("Environment overrides:", 1)[1].split("\n\n", 1)[0]
         listed = re.findall(r"KBFORGE_[A-Z_]+", paragraph)
         assert listed == [env for _, env, _, _, _ in OVERRIDES if env is not None]
@@ -290,9 +357,9 @@ class TestPipelines:
                           encoding="utf-8")
         argv = ["eval", "--backend", "replay", "--config", str(config), "--synth", "--n-per-attack", "12",
                 "--n-per-class", "6", "--seed", "4", "--out", str(tmp_path / "out")]
-        run = build_config(build_parser().parse_args(argv))
-        records, _ = generate_dataset(default_spec(seed=run["seed"], **run["data"]["synth"]))
-        sample = stratified_sample(records, run["eval"]["n_per_class"], seed=run["seed"])
+        run = load(build_parser().parse_args(argv))
+        records, _ = generate_dataset(run.data.synth.spec(run.seed))
+        sample = stratified_sample(records, run.eval.n_per_class, seed=run.seed)
         verdicts = {
             "no_kb": lambda i, r: r.label,
             "long_kb": lambda i, r: AttackLabel.UDP_FLOOD,
@@ -424,9 +491,7 @@ class TestEnvAndLock:
         assert not (tmp_path / "enved").exists()
 
     def _run_dir(self, tmp_path) -> Path:
-        config = copy.deepcopy(DEFAULT_CONFIG)
-        config["out"] = str(tmp_path)
-        config["data"]["synth"]["n_per_attack"] = 10
+        config = RunConfig(out=str(tmp_path), data=DataSection(synth=SynthSection(n_per_attack=10)))
         directory = artifact_dir(config)
         directory.mkdir(parents=True)
         return directory
