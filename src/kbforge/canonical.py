@@ -163,9 +163,6 @@ REFERENCE_PROFILES: dict[AttackLabel, AttackProfile] = {
     for label, stats in _REFERENCE_STATS.items()
 }
 
-#: Flood classes that ship with a reference profile, in canonical order.
-PROFILED_ATTACKS: tuple[AttackLabel, ...] = tuple(REFERENCE_PROFILES)
-
 #: Every feature that appears in some reference profile (registry order is
 #: imposed where it matters; this is the lookup set).
 PROFILED_FEATURES: frozenset[str] = frozenset(

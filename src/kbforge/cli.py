@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -391,7 +392,7 @@ def _kb_input(config: RunConfig, kb_config: evaluation.KbConfig, profiles):
     store_path = Path(config.backend.replay.store_dir) / f"{kb_config.value}.jsonl"
     if not store_path.exists():
         raise RuntimeError(f"replay store not found: {store_path}")
-    return detectors.ReplayStore.load(store_path)
+    return detectors.load_replay_store(store_path)
 
 
 def _read_inputs(args: argparse.Namespace, config: RunConfig) -> None:
@@ -411,6 +412,8 @@ def _read_inputs(args: argparse.Namespace, config: RunConfig) -> None:
             args.profiles = profile_mod.profiles_from_json(text)
         except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad profiles file {config.profiles_path}: {exc}") from None
+        if not args.profiles:
+            raise ConfigError(f"profiles file {config.profiles_path} lists no profiles")
 
 
 def _parse_record(text: str) -> flow_data.FlowRecord:
@@ -491,18 +494,20 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
     profiles = _resolve_profiles(config, args.profiles)
     kb = _kb_input(config, KB_VARIANTS[config.kb.variant][0], profiles)
 
-    out = artifact_dir(config) / "detect"
-    out.mkdir(parents=True, exist_ok=True)
     lines = []
     with _detector(config, profiles) as detector:
+        out = artifact_dir(config) / "detect"
+        out.mkdir(parents=True, exist_ok=True)
         for record in records:
-            result = detector.classify(record, kb)
+            start = time.perf_counter()  # spans every attempt and backoff wait
+            predicted = detector.classify(record, kb)
+            latency_ms = (time.perf_counter() - start) * 1000.0
             row = {
                 "digest": prompting.record_digest(record),
                 "true": record.label.render() if record.label else None,
-                "predicted": result.predicted.render(),
-                "latency_ms": round(result.latency_ms, 3),
-                "backend_id": result.backend_id,
+                "predicted": predicted.render(),
+                "latency_ms": round(latency_ms, 3),
+                "backend_id": detector.backend_id,
             }
             lines.append(json.dumps(row))
             print(json.dumps(row))
@@ -514,16 +519,16 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> Path:
     table = _load_table(config)
     sample = flow_data.stratified_sample(table, n_per_class=config.eval.n_per_class, seed=config.seed)
     profiles = _resolve_profiles(config, args.profiles, table)
-    # Every KB configuration's input first, so a missing replay store fails
-    # before any artifact is written.
+    # Every KB configuration's input and the detector first, so a missing
+    # replay store or a detector that cannot be built fails before any
+    # artifact is written.
     kb_configs = config.eval.kb_configs
     kb_inputs = [_kb_input(config, kb_config, profiles) for kb_config in kb_configs]
     grid = evaluation.EvaluationGrid()
-    out = artifact_dir(config) / "eval"
-    confusion_dir = out / "confusion"
-    confusion_dir.mkdir(parents=True, exist_ok=True)
-
     with _detector(config, profiles) as detector:
+        out = artifact_dir(config) / "eval"
+        confusion_dir = out / "confusion"
+        confusion_dir.mkdir(parents=True, exist_ok=True)
         stem = detector.backend_id.replace(":", "_")
         for kb_config, kb in zip(kb_configs, kb_inputs):
             cm = evaluation.evaluate(

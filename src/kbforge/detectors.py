@@ -1,6 +1,6 @@
 """Detector backends behind one classify contract: a deterministic rule oracle
 over structured constraints, an HTTP client for Ollama-style local LLM
-endpoints, and a record/replay store for offline tests."""
+endpoints, and a replay of stored verdicts for offline tests."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
 
-from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord
+from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord, canonicalize_label
 from .kb_builder import InRange, KnowledgeBase, MandatoryEquals, StructuredKb
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
@@ -55,22 +55,10 @@ class ReplayMissError(DetectorError):
     """Replay store has no response for the requested record digest."""
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    predicted: AttackLabel
-    raw_response: str | None
-    latency_ms: float
-    backend_id: str
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency cannot be negative")
-
-
 class Detector(Protocol):
     backend_id: str
 
-    def classify(self, record: FlowRecord, kb=None) -> DetectionResult: ...
+    def classify(self, record: FlowRecord, kb=None) -> AttackLabel: ...
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +123,11 @@ class RuleOracleDetector:
             scores[attack] = credit / len(rules)
         return scores
 
-    def classify(self, record: FlowRecord, kb=None) -> DetectionResult:
+    def classify(self, record: FlowRecord, kb=None) -> AttackLabel:
         """Classify with the KB the detector was built on; `kb` is not read."""
-        start = time.perf_counter()
         scores = self.scores(record)
         best = max(ATTACK_LABELS, key=lambda attack: scores.get(attack, -1.0))  # first of equals
-        verdict = best if scores.get(best, -1.0) >= self.config.min_score else AttackLabel.UNKNOWN
-        latency = (time.perf_counter() - start) * 1000.0
-        return DetectionResult(
-            predicted=verdict, raw_response=None, latency_ms=latency,
-            backend_id=self.backend_id,
-        )
+        return best if scores.get(best, -1.0) >= self.config.min_score else AttackLabel.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -326,102 +308,51 @@ class LlmDetector:
         assert last is not None
         raise last
 
-    def classify(self, record: FlowRecord, kb: KnowledgeBase | None = None) -> DetectionResult:
+    def classify(self, record: FlowRecord, kb: KnowledgeBase | None = None) -> AttackLabel:
         prompt = build_prompt(record, kb, self.mode)
         with self._gate:
-            start = time.perf_counter()  # latency spans every attempt and backoff wait
             text = self._request_with_retries(prompt.text)
-            latency = (time.perf_counter() - start) * 1000.0
-        return DetectionResult(
-            predicted=parse_response(text),
-            raw_response=text,
-            latency_ms=latency,
-            backend_id=self.backend_id,
-        )
+        return parse_response(text)
 
 
 # ---------------------------------------------------------------------------
-# Record / replay.
+# Replay.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReplayStore:
-    """JSON-lines store of {digest, response, label} rows, keyed by digest."""
-
-    rows: dict[str, tuple[str | None, AttackLabel]] = field(default_factory=dict)
-
-    def record(self, digest: str, response: str | None, label: AttackLabel) -> None:
-        self.rows[digest] = (response, label)
-
-    def get(self, digest: str) -> tuple[str | None, AttackLabel]:
-        if digest not in self.rows:
-            raise ReplayMissError(f"no stored response for digest {digest[:12]}...")
-        return self.rows[digest]
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            for digest in sorted(self.rows):
-                response, label = self.rows[digest]
-                handle.write(
-                    json.dumps(
-                        {"digest": digest, "response": response, "label": label.render()}
-                    )
-                    + "\n"
-                )
-
-    @staticmethod
-    def load(path: str | Path) -> "ReplayStore":
-        """Read a store; a row that is not a JSON object with a string digest
-        and a string label raises DetectorError naming its file and line."""
-        from .flow_data import canonicalize_label
-
-        store = ReplayStore()
-        with Path(path).open(encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DetectorError(f"{path}:{number}: replay row is not valid JSON: {exc}") from None
-                if not isinstance(row, dict):
-                    raise DetectorError(f"{path}:{number}: replay row is not a JSON object")
-                for key in ("digest", "label"):
-                    if not isinstance(row.get(key), str):
-                        raise DetectorError(f"{path}:{number}: replay row needs a string {key!r}")
-                store.rows[row["digest"]] = (row.get("response"), canonicalize_label(row["label"]))
-        return store
+def load_replay_store(path: str | Path) -> dict[str, AttackLabel]:
+    """Read a JSON-lines store of {digest, label} rows into a digest -> label
+    map; other keys are ignored. A row that is not a JSON object with a
+    string digest and a string label raises DetectorError naming its file
+    and line."""
+    store: dict[str, AttackLabel] = {}
+    with Path(path).open(encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DetectorError(f"{path}:{number}: replay row is not valid JSON: {exc}") from None
+            if not isinstance(row, dict):
+                raise DetectorError(f"{path}:{number}: replay row is not a JSON object")
+            for key in ("digest", "label"):
+                if not isinstance(row.get(key), str):
+                    raise DetectorError(f"{path}:{number}: replay row needs a string {key!r}")
+            store[row["digest"]] = canonicalize_label(row["label"])
+    return store
 
 
 class ReplayDetector:
-    """Serves the verdicts of the ReplayStore passed as classify's kb, one
+    """Serves the verdicts of the replay store passed as classify's kb, one
     store per KB configuration. Fail-closed: a digest the store has never
     seen is an error."""
 
     backend_id = "replay"
 
-    def classify(self, record: FlowRecord, kb: ReplayStore) -> DetectionResult:
-        start = time.perf_counter()
-        response, label = kb.get(record_digest(record))
-        latency = (time.perf_counter() - start) * 1000.0
-        return DetectionResult(
-            predicted=label, raw_response=response, latency_ms=latency, backend_id=self.backend_id
-        )
-
-
-class RecordingDetector:
-    """Wraps another backend and captures its verdicts for later replay."""
-
-    def __init__(self, inner: Detector, store: ReplayStore):
-        self.inner = inner
-        self.store = store
-        self.backend_id = inner.backend_id
-
-    def classify(self, record: FlowRecord, kb=None) -> DetectionResult:
-        result = self.inner.classify(record, kb)
-        self.store.record(record_digest(record), result.raw_response, result.predicted)
-        return result
+    def classify(self, record: FlowRecord, kb: dict[str, AttackLabel]) -> AttackLabel:
+        digest = record_digest(record)
+        if digest not in kb:
+            raise ReplayMissError(f"no stored response for digest {digest[:12]}...")
+        return kb[digest]

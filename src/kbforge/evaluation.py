@@ -124,13 +124,13 @@ def evaluate(
     with contextlib.closing(_classified(one, table, workers)) as outcomes:
         for outcome in outcomes:
             try:
-                true, result = outcome()
+                true, predicted = outcome()
             except TransportError:
                 if strict:
                     raise
                 cm.error_count += 1
                 continue
-            cm.add(true, result.predicted)
+            cm.add(true, predicted)
     return cm
 
 

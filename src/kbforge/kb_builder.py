@@ -31,7 +31,6 @@ class KbSource(Enum):
 class KnowledgeBase:
     variant: KbVariant
     entries: dict[AttackLabel, str]
-    source: KbSource
 
     def __post_init__(self) -> None:
         for label, text in self.entries.items():
@@ -84,7 +83,7 @@ def render_long_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) ->
                     f"{format_number(fp.max)}, commonly at {format_number(fp.median)}."
                 )
         entries[profile.attack] = "\n".join(lines)
-    return KnowledgeBase(variant=KbVariant.LONG, entries=entries, source=KbSource.GENERATED)
+    return KnowledgeBase(variant=KbVariant.LONG, entries=entries)
 
 
 # --------------------------------------------------------------------------
@@ -203,13 +202,13 @@ def render_short_kb(keys: KeyFeatureSet) -> KnowledgeBase:
             entries[attack] = SHORT_KB_TEXT[attack]
         else:
             raise ValueError(f"short KB entry missing for {attack.render()}")
-    return KnowledgeBase(variant=KbVariant.SHORT, entries=entries, source=KbSource.GENERATED)
+    return KnowledgeBase(variant=KbVariant.SHORT, entries=entries)
 
 
 def canonical_kb(variant: KbVariant) -> KnowledgeBase:
     """The bundled reference KB texts, byte-for-byte."""
     text = LONG_KB_TEXT if variant is KbVariant.LONG else SHORT_KB_TEXT
-    return KnowledgeBase(variant=variant, entries=dict(text), source=KbSource.CANONICAL)
+    return KnowledgeBase(variant=variant, entries=dict(text))
 
 
 # --------------------------------------------------------------------------

@@ -28,30 +28,24 @@ class DescribeMode(Enum):
     QUALITATIVE = "qualitative"
 
 
-@dataclass(frozen=True)
-class QualitativeThresholds:
-    """Cutoffs that turn raw feature values into High/Low/Elevated/Normal tags.
+# Qualitative tags for raw feature values. Each rule is total: any real value
+# maps to exactly one tag.
 
-    Every tag function is total: any real value maps to exactly one tag.
-    """
 
-    rate_high_above: float = 100.0
-    iat_low_below: float = 1e6
-    iat_high_above: float = 1e7
-    flag_elevated_at: float = 0.5
+def rate_tag(value: float) -> str:
+    return "High" if value > 100.0 else "Normal"
 
-    def rate_tag(self, value: float) -> str:
-        return "High" if value > self.rate_high_above else "Normal"
 
-    def iat_tag(self, value: float) -> str:
-        if value < self.iat_low_below:
-            return "Low"
-        if value > self.iat_high_above:
-            return "High"
-        return "Normal"
+def iat_tag(value: float) -> str:
+    if value < 1e6:
+        return "Low"
+    if value > 1e7:
+        return "High"
+    return "Normal"
 
-    def flag_tag(self, value: float) -> str:
-        return "Elevated" if value >= self.flag_elevated_at else "Normal"
+
+def flag_tag(value: float) -> str:
+    return "Elevated" if value >= 0.5 else "Normal"
 
 
 _PROTOCOL_NAMES = {1: "ICMP", 6: "TCP", 17: "UDP"}
@@ -74,7 +68,6 @@ KB_RELEVANT_FEATURES: tuple[str, ...] = tuple(
 def describe_flow(
     record: FlowRecord,
     mode: DescribeMode = DescribeMode.QUALITATIVE,
-    thresholds: QualitativeThresholds = QualitativeThresholds(),
 ) -> str:
     """Render a record as the traffic-data block of a prompt."""
     if mode is DescribeMode.NUMERIC:
@@ -89,12 +82,12 @@ def describe_flow(
     rate = record.features["Rate"]
     lines = [
         f"- Protocol Type: {protocol}",
-        f"- Packet Rate: {format_number(rate)} packets/sec ({thresholds.rate_tag(rate)})",
-        f"- Inter-Arrival Time (IAT): {thresholds.iat_tag(record.features['IAT'])}",
+        f"- Packet Rate: {format_number(rate)} packets/sec ({rate_tag(rate)})",
+        f"- Inter-Arrival Time (IAT): {iat_tag(record.features['IAT'])}",
         "- TCP Flags:",
     ]
     for shown, feature in _FLAG_ORDER:
-        lines.append(f"    - {shown}: {thresholds.flag_tag(record.features[feature])}")
+        lines.append(f"    - {shown}: {flag_tag(record.features[feature])}")
     return "\n".join(lines)
 
 
@@ -118,13 +111,12 @@ def build_prompt(
     record: FlowRecord,
     kb: KnowledgeBase | None = None,
     mode: DescribeMode = DescribeMode.QUALITATIVE,
-    thresholds: QualitativeThresholds = QualitativeThresholds(),
 ) -> Prompt:
     """KB section (if any) + traffic data + instruction with the option list."""
     sections = []
     if kb is not None:
         sections.append("Knowledge Base:\n" + kb.combined_text())
-    sections.append("Network Traffic Data:\n" + describe_flow(record, mode, thresholds))
+    sections.append("Network Traffic Data:\n" + describe_flow(record, mode))
     sections.append(INSTRUCTION)
     return Prompt(text="\n\n".join(sections))
 

@@ -259,7 +259,7 @@ def test_07_wire_protocol_conformance(stub_server, llm_detector):
         # request schema, field for field
         stub_server.set_script([{"status": 200, "json": {"response": "DDoS-ICMP_Flood"}}])
         result = llm_detector(config).classify(record)
-        assert result.predicted is ICMP
+        assert result is ICMP
         body = stub_server.requests[0]["body"]
         assert stub_server.requests[0]["path"] == "/api/generate"
         assert set(body) == {"model", "prompt", "stream", "options"}
@@ -275,7 +275,7 @@ def test_07_wire_protocol_conformance(stub_server, llm_detector):
             {"status": 200, "json": {"response": "DDoS-UDP_Flood"}},
         ]
         stub_server.set_script(scripted)
-        assert llm_detector(config).classify(record).predicted is UDP
+        assert llm_detector(config).classify(record) is UDP
         stub_server.set_script(scripted)
         one_retry = LlmEndpointConfig(
             base_url=stub_server.base_url,
@@ -308,7 +308,7 @@ def test_07_wire_protocol_conformance(stub_server, llm_detector):
         ]
         for text, expected in fixtures:
             stub_server.set_script([{"status": 200, "json": {"response": text}}])
-            assert llm_detector(config).classify(record).predicted is expected
+            assert llm_detector(config).classify(record) is expected
 
 
 def test_08_artifact_determinism(tmp_path):

@@ -17,11 +17,12 @@ from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.cli import (
     OVERRIDES, BackendSection, DataSection, RunConfig, SynthSection, artifact_dir, build_parser, load, main,
 )
-from kbforge.detectors import ReplayStore
 from kbforge.flow_data import AttackLabel, stratified_sample
 from kbforge.profile import profiles_to_json
 from kbforge.prompting import record_digest
 from kbforge.synth_traffic import generate_dataset
+
+from conftest import make_record
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parents[1] / "README.md"
@@ -136,14 +137,17 @@ class TestValidation:
             (None, ("select", "--grid", "nope.json")),
             ({"eval": {"workers": -3}}, ("eval",)),
             ({"eval": {"kb_configs": ["no_kb", "no_kb"]}}, ("eval",)),
+            (None, ("synth", "--profiles", "empty.json")),
+            (None, ("eval", "--profiles", "empty.json")),
         ],
         ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
              "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset",
              "no-kb-configs", "base-url-no-scheme", "detect-input-missing", "select-grid-missing",
-             "workers-neg", "kb-configs-repeated"],
+             "workers-neg", "kb-configs-repeated", "synth-profiles-empty", "eval-profiles-empty"],
     )
     def test_invalid_config_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, file_config, argv):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.json").write_text("[]", encoding="utf-8")
         out = tmp_path / "out"
         flags = ["--n-per-attack", "20", "--out", str(out)]
         if file_config is not None:
@@ -366,13 +370,14 @@ class TestPipelines:
             "short_kb": lambda i, r: r.label if i % 3 else AttackLabel.UNKNOWN,
         }
         hits: dict = {}
+        store_dir.mkdir()
         for kb_config, verdict in verdicts.items():
-            store = ReplayStore()
+            rows = []
             for i, record in enumerate(sample):
                 label = verdict(i, record)
-                store.record(record_digest(record), None, label)
+                rows.append(json.dumps({"digest": record_digest(record), "label": label.render()}) + "\n")
                 hits.setdefault((record.label.render(), kb_config), []).append(label is record.label)
-            store.save(store_dir / f"{kb_config}.jsonl")
+            (store_dir / f"{kb_config}.jsonl").write_text("".join(rows), encoding="utf-8")
         return argv, {key: sum(h) / len(h) for key, h in hits.items()}
 
     def test_eval_replay_grid_equals_stored_labels(self, tmp_path):
@@ -440,6 +445,38 @@ class TestPipelines:
         line = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert line["predicted"] == "DDoS-ICMP_Flood"
         assert line["backend_id"] == "rule-oracle"
+
+    def test_detect_llm_latency_spans_retry_and_backoff(self, tmp_path, capsys, stub_server):
+        stub_server.set_script(
+            [{"status": 503, "raw": "busy"}, {"status": 200, "json": {"response": "DDoS-UDP_Flood"}}]
+        )
+        code = run_cli("detect", "--record", '{"Rate": 5000.0}', "--backend", "llm",
+                       "--base-url", stub_server.base_url, "--out", str(tmp_path))
+        assert code == 0
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert line["predicted"] == "DDoS-UDP_Flood"
+        assert line["backend_id"] == "llm:llama3.1:8b"
+        assert len(stub_server.requests) == 2
+        assert line["latency_ms"] >= 250.0  # backoff_base_s is 0.25
+
+    def test_detect_replay_serves_the_stored_label(self, tmp_path, capsys):
+        store_dir = tmp_path / "stores"
+        store_dir.mkdir()
+        digest = record_digest(make_record(Rate=5000.0))
+        row = {"digest": digest, "response": "ignored", "label": "DDoS-SYN_Flood"}
+        (store_dir / "long_kb.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"backend": {"replay": {"store_dir": str(store_dir)}}}),
+                          encoding="utf-8")
+        argv = ["detect", "--backend", "replay", "--config", str(config), "--out", str(tmp_path / "o")]
+        assert run_cli(*argv, "--record", '{"Rate": 5000.0}') == 0
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert line["digest"] == digest
+        assert line["predicted"] == "DDoS-SYN_Flood"
+        assert line["backend_id"] == "replay"
+        assert run_cli(*argv, "--record", '{"Rate": 5001.0}') == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"]["kind"] == "ReplayMissError"
 
     @pytest.mark.parametrize(
         "record",

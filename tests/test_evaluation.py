@@ -116,9 +116,7 @@ class TestEvaluate:
             backend_id = "stub"
 
             def classify(self, record, kb=None):
-                from kbforge.detectors import DetectionResult
-
-                return DetectionResult(AttackLabel.NORMAL, None, 0.0, "stub")
+                return AttackLabel.NORMAL
 
         records, _ = generate_dataset(default_spec(n_per_attack=5, jitter=0.0, seed=1))
         cm = evaluate(AlwaysNormal(), records)
@@ -142,11 +140,11 @@ class TestEvaluate:
                 self.calls = itertools.count(1)
 
             def classify(self, record, kb=None):
-                from kbforge.detectors import DetectionResult, EndpointTimeout
+                from kbforge.detectors import EndpointTimeout
 
                 if next(self.calls) == 1:
                     raise EndpointTimeout("slow")
-                return DetectionResult(record.label, None, 0.0, "flaky")
+                return record.label
 
         records, _ = generate_dataset(default_spec(n_per_attack=2, jitter=0.0, seed=3))
         for workers in (1, 4):

@@ -11,7 +11,6 @@ from kbforge.kb_builder import (
     Descriptor,
     DescriptorKind,
     InRange,
-    KbSource,
     KbVariant,
     KeyFeatureSet,
     MandatoryEquals,
@@ -52,7 +51,6 @@ class TestFormatNumber:
 class TestCanonicalKb:
     def test_long_has_four_entries(self):
         kb = canonical_kb(KbVariant.LONG)
-        assert kb.source is KbSource.CANONICAL
         assert set(kb.entries) == {
             AttackLabel.ICMP_FLOOD,
             AttackLabel.UDP_FLOOD,

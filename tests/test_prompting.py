@@ -9,10 +9,12 @@ from kbforge.prompting import (
     LABEL_OPTIONS,
     OPTION_LIST,
     DescribeMode,
-    QualitativeThresholds,
     build_prompt,
     describe_flow,
+    flag_tag,
+    iat_tag,
     parse_response,
+    rate_tag,
     record_digest,
 )
 
@@ -58,11 +60,10 @@ class TestDescribeFlow:
         assert "- Inter-Arrival Time (IAT): 83128994.35" in text
 
     def test_thresholds_total(self):
-        thresholds = QualitativeThresholds()
         for value in (-1e12, 0.0, 1e-9, 1e12):
-            assert thresholds.rate_tag(value) in ("High", "Normal")
-            assert thresholds.iat_tag(value) in ("High", "Low", "Normal")
-            assert thresholds.flag_tag(value) in ("Elevated", "Normal")
+            assert rate_tag(value) in ("High", "Normal")
+            assert iat_tag(value) in ("High", "Low", "Normal")
+            assert flag_tag(value) in ("Elevated", "Normal")
 
 
 class TestBuildPrompt:

@@ -198,7 +198,7 @@ class TestGenerateDataset:
         records, _ = generate_dataset(default_spec(n_per_attack=50, jitter=0.0, seed=6))
         oracle = RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values())))
         for record in records:
-            assert oracle.classify(record).predicted is record.label
+            assert oracle.classify(record) is record.label
 
     def test_csv_round_trip_matches_ingest_schema(self, tmp_path):
         from kbforge.flow_data import load_dataset, write_dataset
