@@ -492,7 +492,8 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
     else:
         records = _load_table(config)
     profiles = _resolve_profiles(config, args.profiles)
-    kb = _kb_input(config, KB_VARIANTS[config.kb.variant][0], profiles)
+    kb_config = KB_VARIANTS[config.kb.variant][0]
+    kb = _kb_input(config, kb_config, profiles)
 
     lines = []
     with _detector(config, profiles) as detector:
@@ -508,6 +509,7 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
                 "predicted": predicted.render(),
                 "latency_ms": round(latency_ms, 3),
                 "backend_id": detector.backend_id,
+                "kb_config": kb_config.value,
             }
             lines.append(json.dumps(row))
             print(json.dumps(row))
@@ -544,9 +546,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> Path:
             for attack, cell in evaluation.per_class_cells(cm).items():
                 grid.set(attack, kb_config, detector.backend_id, cell)
 
-    evaluation.write_grid_artifacts(grid, out)
-    text, _, _ = evaluation.render_table(grid)
-    print(text, end="")
+    print(evaluation.write_grid_artifacts(grid, out), end="")
     return out
 
 

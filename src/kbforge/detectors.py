@@ -17,7 +17,7 @@ from typing import Protocol
 from urllib.parse import urlsplit
 
 from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord, canonicalize_label
-from .kb_builder import InRange, KnowledgeBase, MandatoryEquals, StructuredKb
+from .kb_builder import ConstraintKind, KnowledgeBase, StructuredKb
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
 
@@ -66,6 +66,10 @@ class Detector(Protocol):
 # ---------------------------------------------------------------------------
 
 
+# Module globals: a global is read faster than an Enum member in the scoring loop.
+_IN_RANGE, _MANDATORY_EQUALS = ConstraintKind.IN_RANGE, ConstraintKind.MANDATORY_EQUALS
+
+
 @dataclass(frozen=True)
 class RuleOracleConfig:
     min_score: float = 0.5
@@ -92,15 +96,8 @@ class RuleOracleDetector:
         if not kb.per_attack:
             raise ValueError("structured KB is empty")
         self.config = config
-        # Compiled once into per-attack (feature, kind, a, b) rules: kind is the
-        # constraint class, (a, b) is (lo, hi) for InRange, else (value, tolerance).
-        self._rules = tuple(
-            (attack, tuple(
-                (c.feature, InRange, c.lo, c.hi) if isinstance(c, InRange)
-                else (c.feature, type(c), c.value, c.tolerance) for c in constraints
-            ))
-            for attack, constraints in kb.per_attack.items() if constraints
-        )
+        # Plain tuples: the scoring loop unpacks them faster than NamedTuples.
+        self._rules = tuple((attack, tuple(map(tuple, rules))) for attack, rules in kb.per_attack.items())
 
     def scores(self, record: FlowRecord) -> dict[AttackLabel, float]:
         """Each constrained attack's score for the record."""
@@ -109,12 +106,12 @@ class RuleOracleDetector:
             credit = 0.0
             for feature, kind, a, b in rules:
                 value = record.features[feature]
-                if kind is InRange:
+                if kind is _IN_RANGE:
                     if a <= value <= b:
                         credit += 1.0
                 elif abs(value - a) <= b:
                     credit += 1.0
-                elif kind is MandatoryEquals:
+                elif kind is _MANDATORY_EQUALS:
                     if self.config.mandatory_strict:
                         credit = 0.0
                         break

@@ -162,6 +162,11 @@ class EvaluationGrid:
             (a for a in present if a not in ATTACK_LABELS), key=lambda l: l.render()
         )
 
+    def sorted_cells(self) -> list[tuple[tuple[AttackLabel, KbConfig, str], Cell]]:
+        """The cells by attack name, KB configuration, then backend: the row
+        order of grid.json and grid.csv."""
+        return sorted(self.cells.items(), key=lambda kv: (kv[0][0].render(), kv[0][1].value, kv[0][2]))
+
     def to_json(self) -> str:
         rows = [
             {
@@ -171,10 +176,7 @@ class EvaluationGrid:
                 "accuracy": cell.accuracy,
                 "n": cell.n,
             }
-            for (attack, config, backend), cell in sorted(
-                self.cells.items(),
-                key=lambda kv: (kv[0][0].render(), kv[0][1].value, kv[0][2]),
-            )
+            for (attack, config, backend), cell in self.sorted_cells()
         ]
         return json.dumps({"cells": rows}, indent=2) + "\n"
 
@@ -256,25 +258,19 @@ def render_table(grid: EvaluationGrid) -> tuple[str, str, str]:
     text = "\n".join(lines) + "\n"
 
     csv_lines = ["attack,kb_config,backend_id,accuracy,n"]
-    for (attack, config, backend), cell in sorted(
-        grid.cells.items(), key=lambda kv: (kv[0][0].render(), kv[0][1].value, kv[0][2])
-    ):
+    for (attack, config, backend), cell in grid.sorted_cells():
         csv_lines.append(f"{attack.render()},{config.value},{backend},{cell.accuracy!r},{cell.n}")
     csv_text = "\n".join(csv_lines) + "\n"
 
     return text, csv_text, grid.to_json()
 
 
-def write_grid_artifacts(grid: EvaluationGrid, out_dir: str | Path) -> dict[str, Path]:
+def write_grid_artifacts(grid: EvaluationGrid, out_dir: str | Path) -> str:
+    """Write grid.txt, grid.csv and grid.json; return the text table."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     text, csv_text, json_text = render_table(grid)
-    paths = {
-        "txt": out_dir / "grid.txt",
-        "csv": out_dir / "grid.csv",
-        "json": out_dir / "grid.json",
-    }
-    paths["txt"].write_text(text, encoding="utf-8")
-    paths["csv"].write_text(csv_text, encoding="utf-8")
-    paths["json"].write_text(json_text, encoding="utf-8")
-    return paths
+    (out_dir / "grid.txt").write_text(text, encoding="utf-8")
+    (out_dir / "grid.csv").write_text(csv_text, encoding="utf-8")
+    (out_dir / "grid.json").write_text(json_text, encoding="utf-8")
+    return text

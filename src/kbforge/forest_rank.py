@@ -4,11 +4,13 @@ The target is the one-vs-rest indicator of an attack: ``fit_forest`` takes
 only 0/1 values and raises ``ValueError`` for any other. Split finding is
 exact and greedy: every registry feature is considered at every node (no
 feature subsampling) with candidate thresholds at midpoints of consecutive
-distinct values. Ties in split score break by alphabetical feature name, then
-smaller threshold, which makes training fully deterministic for a fixed (row
-order, params, seed). Per-tree randomness comes only from the bootstrap
-resample, seeded with ``seed XOR tree_index`` through numpy's PCG64, a
-documented generator with stable streams across platforms.
+distinct values; where a midpoint rounds onto the upper value, the lower value
+is the threshold, so ``value <= threshold`` always splits at the boundary and
+neither child is empty. Ties in split score break by alphabetical feature
+name, then smaller threshold, which makes training fully deterministic for a
+fixed (row order, params, seed). Per-tree randomness comes only from the
+bootstrap resample, seeded with ``seed XOR tree_index`` through numpy's PCG64,
+a documented generator with stable streams across platforms.
 
 The search runs on a presorted column block (the "exact greedy" layout of
 XGBoost, Chen & Guestrin 2016). The table argsorts each column once, stably,
@@ -38,7 +40,6 @@ so peak memory, whatever the data size.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -131,8 +132,7 @@ class _TreeGrower:
     def grow(self, lo: int, hi: int, depth: int, n: int, s: int) -> TreeNode:
         best = None if self._is_leaf(n, s, depth) else self._best_split(lo, hi, n, s)
         if best is None:
-            # n is 0 only on the empty side of a midpoint rounded onto the upper value.
-            return Leaf(value=s / n if n else math.nan, sample_count=n)
+            return Leaf(value=s / n, sample_count=n)
 
         reduction, column, threshold, m_left, n_left, s_left = best
         mid = lo + m_left
@@ -184,12 +184,10 @@ class _TreeGrower:
             if best is None or reductions[j] > best[0]:
                 r, i = divmod(int(at[j]), m - 1)
                 threshold = float((vs[r, i] + vs[r, i + 1]) / 2.0)
-                # Records with value <= threshold go left: records [0..i],
-                # unless the midpoint rounded onto vs[r, i + 1].
-                m_left = int(np.searchsorted(vs[r], threshold, side="right"))
-                packed = prefix[j] if m_left == i + 1 else self.draws[rows[r, :m_left]].sum()
-                counts = int(packed & _LOW), int(packed >> _SHIFT)
-                best = (float(reductions[j]), r0 + r, threshold, m_left, *counts)
+                if threshold >= vs[r, i + 1]:  # rounded onto the upper value
+                    threshold = float(vs[r, i])
+                counts = int(prefix[j] & _LOW), int(prefix[j] >> _SHIFT)
+                best = (float(reductions[j]), r0 + r, threshold, i + 1, *counts)
         if best is None or best[0] <= 0.0:
             return None
         return best

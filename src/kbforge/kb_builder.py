@@ -1,4 +1,4 @@
-"""Knowledge-base rendering: long/short text KBs, key feature sets, and the
+"""Knowledge-base rendering: long/short text KBs, key feature phrases, and the
 structured constraint form consumed by the rule oracle."""
 
 from __future__ import annotations
@@ -7,14 +7,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple
 
 from .canonical import LONG_KB_TEXT, SHORT_KB_TEXT
 from .flow_data import ATTACK_LABELS, AttackLabel, display_name
-from .profile import AttackProfile, FeatureProfile
-
-#: min == median == max within this tolerance renders as a hard "Has to be" line.
-CONSTANT_TOLERANCE = 1e-6
+from .profile import CONSTANT_TOLERANCE, AttackProfile, FeatureProfile
 
 
 class KbVariant(Enum):
@@ -75,7 +72,7 @@ def render_long_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) ->
         ]
         for fp in profile.ranked_features:
             shown = display_name(fp.feature)
-            if fp.max - fp.min <= CONSTANT_TOLERANCE:
+            if fp.is_constant:
                 lines.append(f"- {shown}: Has to be {format_number(fp.median)}.")
             else:
                 lines.append(
@@ -87,39 +84,8 @@ def render_long_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) ->
 
 
 # --------------------------------------------------------------------------
-# Key feature sets and the short KB.
+# Key feature phrases and the short KB.
 # --------------------------------------------------------------------------
-
-
-class DescriptorKind(Enum):
-    MUST_EQUAL = "must-equal"
-    HIGH = "high"
-    LOW = "low"
-    RANGE = "range"
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    kind: DescriptorKind
-    values: tuple[float, ...] = ()
-
-    def render(self, feature: str) -> str:
-        shown = display_name(feature)
-        if self.kind is DescriptorKind.MUST_EQUAL:
-            return f"{shown} has to be {format_number(self.values[0])}"
-        if self.kind is DescriptorKind.HIGH:
-            return f"High {shown}"
-        if self.kind is DescriptorKind.LOW:
-            return f"Low {shown}"
-        return (  # RANGE
-            f"{shown} between {format_number(self.values[0])} "
-            f"and {format_number(self.values[1])}"
-        )
-
-
-@dataclass(frozen=True)
-class KeyFeatureSet:
-    per_attack: dict[AttackLabel, tuple[tuple[str, Descriptor], ...]]
 
 
 def _ranges_overlap_fully(a: FeatureProfile, b: FeatureProfile) -> bool:
@@ -139,8 +105,10 @@ def _separation(a: FeatureProfile, b: FeatureProfile) -> float:
 
 def derive_key_features(
     profiles: list[AttackProfile] | tuple[AttackProfile, ...], max_features: int = 3
-) -> KeyFeatureSet:
-    """Pick up to three features per attack whose ranges separate it best.
+) -> dict[AttackLabel, tuple[tuple[str, str], ...]]:
+    """Pick up to three features per attack whose ranges separate it best, each
+    with its short-KB phrase: "has to be" for a pinned feature, else "High" or
+    "Low" against the median of the profiled medians, else its range.
 
     Separation of a feature is the worst-case midpoint gap over the other
     attacks profiling the same feature, normalized by the union range width;
@@ -150,7 +118,11 @@ def derive_key_features(
     """
     if len(profiles) < 2:
         raise ValueError("need at least two profiles to compare")
-    per_attack: dict[AttackLabel, tuple[tuple[str, Descriptor], ...]] = {}
+    medians: dict[str, list[float]] = {}
+    for p in profiles:
+        for fp in p.ranked_features:
+            medians.setdefault(fp.feature, []).append(fp.median)
+    per_attack: dict[AttackLabel, tuple[tuple[str, str], ...]] = {}
     for profile in profiles:
         others = [p for p in profiles if p.attack is not profile.attack]
         scored: list[tuple[float, int, str, FeatureProfile]] = []
@@ -161,42 +133,37 @@ def derive_key_features(
             scored.append((score, rank, fp.feature, fp))
         scored.sort(key=lambda item: (-item[0], item[1]))
 
-        medians = {}
-        for p in profiles:
-            for fp in p.ranked_features:
-                medians.setdefault(fp.feature, []).append(fp.median)
-
         keys = []
         for score, _rank, feature, fp in scored[:max_features]:
-            if fp.max - fp.min <= CONSTANT_TOLERANCE:
-                descriptor = Descriptor(DescriptorKind.MUST_EQUAL, (fp.median,))
+            shown = display_name(feature)
+            peers = sorted(medians[feature])
+            center = peers[(len(peers) - 1) // 2]
+            if fp.is_constant:
+                phrase = f"{shown} has to be {format_number(fp.median)}"
+            elif len(peers) > 1 and fp.median > center:
+                phrase = f"High {shown}"
+            elif len(peers) > 1 and fp.median < center:
+                phrase = f"Low {shown}"
             else:
-                peers = sorted(medians[feature])
-                center = peers[(len(peers) - 1) // 2]
-                if len(peers) > 1 and fp.median > center:
-                    descriptor = Descriptor(DescriptorKind.HIGH)
-                elif len(peers) > 1 and fp.median < center:
-                    descriptor = Descriptor(DescriptorKind.LOW)
-                else:
-                    descriptor = Descriptor(DescriptorKind.RANGE, (fp.min, fp.max))
-            keys.append((feature, descriptor))
+                phrase = f"{shown} between {format_number(fp.min)} and {format_number(fp.max)}"
+            keys.append((feature, phrase))
         per_attack[profile.attack] = tuple(keys)
-    return KeyFeatureSet(per_attack=per_attack)
+    return per_attack
 
 
-def render_short_kb(keys: KeyFeatureSet) -> KnowledgeBase:
-    """One line per attack: label, then semicolon-joined key descriptors.
+def render_short_kb(keys: dict[AttackLabel, tuple[tuple[str, str], ...]]) -> KnowledgeBase:
+    """One line per attack: label, then the semicolon-joined key phrases.
 
     Attacks without derived keys fall back to their bundled reference line so
     the short variant always covers all seven flood classes.
     """
     entries: dict[AttackLabel, str] = {}
     for attack in ATTACK_LABELS:
-        derived = keys.per_attack.get(attack)
+        derived = keys.get(attack)
         if derived is not None:
             if not derived:
-                raise ValueError(f"no key descriptors for {attack.render()}")
-            body = "; ".join(desc.render(feature) for feature, desc in derived)
+                raise ValueError(f"no key phrases for {attack.render()}")
+            body = "; ".join(phrase for _, phrase in derived)
             entries[attack] = f"{attack.render()}: {body}."
         elif attack in SHORT_KB_TEXT:
             entries[attack] = SHORT_KB_TEXT[attack]
@@ -216,28 +183,19 @@ def canonical_kb(variant: KbVariant) -> KnowledgeBase:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MandatoryEquals:
+class ConstraintKind(Enum):
+    MANDATORY_EQUALS = "mandatory_equals"
+    IN_RANGE = "in_range"
+    TYPICAL_NEAR = "typical_near"
+
+
+class Constraint(NamedTuple):
+    """One rule on one feature: (a, b) is (lo, hi) for IN_RANGE, else (value, tolerance)."""
+
     feature: str
-    value: float
-    tolerance: float = CONSTANT_TOLERANCE
-
-
-@dataclass(frozen=True)
-class InRange:
-    feature: str
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class TypicalNear:
-    feature: str
-    value: float
-    tolerance: float
-
-
-Constraint = Union[MandatoryEquals, InRange, TypicalNear]
+    kind: ConstraintKind
+    a: float
+    b: float
 
 
 @dataclass(frozen=True)
@@ -246,8 +204,7 @@ class StructuredKb:
 
     def __post_init__(self) -> None:
         for label, constraints in self.per_attack.items():
-            hard = [c for c in constraints if isinstance(c, (MandatoryEquals, InRange))]
-            if not hard:
+            if all(c.kind is ConstraintKind.TYPICAL_NEAR for c in constraints):
                 raise ValueError(
                     f"{label.render()} needs at least one mandatory or range constraint"
                 )
@@ -256,9 +213,8 @@ class StructuredKb:
 def structured_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) -> StructuredKb:
     """Mechanical profile-to-constraint translation.
 
-    Pinned features (min == median == max) become exact-match constraints;
-    ranged features get a range check plus a typical-value check at five
-    percent of the range width.
+    Pinned features become exact-match constraints; ranged features get a
+    range check plus a typical-value check at five percent of the range width.
     """
     if not profiles:
         raise ValueError("no profiles given")
@@ -266,12 +222,14 @@ def structured_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) -> 
     for profile in profiles:
         constraints: list[Constraint] = []
         for fp in profile.ranked_features:
-            if fp.max - fp.min <= CONSTANT_TOLERANCE:
-                constraints.append(MandatoryEquals(fp.feature, fp.median))
-            else:
-                constraints.append(InRange(fp.feature, fp.min, fp.max))
+            if fp.is_constant:
                 constraints.append(
-                    TypicalNear(fp.feature, fp.median, 0.05 * (fp.max - fp.min))
+                    Constraint(fp.feature, ConstraintKind.MANDATORY_EQUALS, fp.median, CONSTANT_TOLERANCE)
+                )
+            else:
+                constraints.append(Constraint(fp.feature, ConstraintKind.IN_RANGE, fp.min, fp.max))
+                constraints.append(
+                    Constraint(fp.feature, ConstraintKind.TYPICAL_NEAR, fp.median, 0.05 * (fp.max - fp.min))
                 )
         per_attack[profile.attack] = tuple(constraints)
     return StructuredKb(per_attack=per_attack)
@@ -280,23 +238,13 @@ def structured_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) -> 
 def structured_kb_to_json(kb: StructuredKb) -> str:
     payload = {}
     for label in ATTACK_LABELS:
-        if label not in kb.per_attack:
-            continue
-        rows = []
-        for c in kb.per_attack[label]:
-            if isinstance(c, MandatoryEquals):
-                rows.append(
-                    {"feature": c.feature, "kind": "mandatory_equals",
-                     "value": c.value, "tolerance": c.tolerance}
-                )
-            elif isinstance(c, InRange):
-                rows.append({"feature": c.feature, "kind": "in_range", "lo": c.lo, "hi": c.hi})
-            else:
-                rows.append(
-                    {"feature": c.feature, "kind": "typical_near",
-                     "value": c.value, "tolerance": c.tolerance}
-                )
-        payload[label.render()] = rows
+        if label in kb.per_attack:
+            payload[label.render()] = [
+                {"feature": c.feature, "kind": c.kind.value,
+                 **({"lo": c.a, "hi": c.b} if c.kind is ConstraintKind.IN_RANGE
+                    else {"value": c.a, "tolerance": c.b})}
+                for c in kb.per_attack[label]
+            ]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -12,6 +12,9 @@ import numpy as np
 from .flow_data import FEATURE_INDEX, AttackLabel, FlowTable, canonicalize_label
 from .forest_rank import ImportanceReport
 
+#: A feature whose max - min is within this tolerance is pinned at its median.
+CONSTANT_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class FeatureProfile:
@@ -31,7 +34,8 @@ class FeatureProfile:
 
     @property
     def is_constant(self) -> bool:
-        return self.min == self.median == self.max
+        """Pinned: synth gives the median, and every KB form says "has to be"."""
+        return self.max - self.min <= CONSTANT_TOLERANCE
 
 
 @dataclass(frozen=True)

@@ -474,9 +474,15 @@ class TestPipelines:
         assert line["digest"] == digest
         assert line["predicted"] == "DDoS-SYN_Flood"
         assert line["backend_id"] == "replay"
+        assert line["kb_config"] == "long_kb"  # the first configuration of the default "both"
         assert run_cli(*argv, "--record", '{"Rate": 5001.0}') == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"]["kind"] == "ReplayMissError"
+        # --kb short reads short_kb.jsonl alone.
+        (store_dir / "long_kb.jsonl").rename(store_dir / "short_kb.jsonl")
+        assert run_cli(*argv, "--kb", "short", "--record", '{"Rate": 5000.0}') == 0
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (line["predicted"], line["kb_config"]) == ("DDoS-SYN_Flood", "short_kb")
 
     @pytest.mark.parametrize(
         "record",

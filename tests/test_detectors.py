@@ -25,7 +25,7 @@ from kbforge.detectors import (
 )
 from kbforge.evaluation import evaluate
 from kbforge.flow_data import ATTACK_LABELS, FEATURES, AttackLabel
-from kbforge.kb_builder import InRange, MandatoryEquals, StructuredKb, TypicalNear, structured_kb
+from kbforge.kb_builder import Constraint, ConstraintKind, StructuredKb, structured_kb
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.prompting import record_digest
 
@@ -44,18 +44,18 @@ def oracle_verdict(record, kb, config=RuleOracleConfig()):
 
 def reference_credit(record, constraint) -> float:
     value = record.features[constraint.feature]
-    if isinstance(constraint, MandatoryEquals):
-        return 1.0 if abs(value - constraint.value) <= constraint.tolerance else 0.0
-    if isinstance(constraint, InRange):
-        return 1.0 if constraint.lo <= value <= constraint.hi else 0.0
-    delta = abs(value - constraint.value)
-    if delta <= constraint.tolerance:
+    if constraint.kind is ConstraintKind.MANDATORY_EQUALS:
+        return 1.0 if abs(value - constraint.a) <= constraint.b else 0.0
+    if constraint.kind is ConstraintKind.IN_RANGE:
+        return 1.0 if constraint.a <= value <= constraint.b else 0.0
+    delta = abs(value - constraint.a)
+    if delta <= constraint.b:
         return 1.0
-    return 0.5 if delta <= 2.0 * constraint.tolerance else 0.0
+    return 0.5 if delta <= 2.0 * constraint.b else 0.0
 
 
 def reference_scores(record, kb, config):
-    """The per-record, per-constraint oracle the compiled one replaced."""
+    """The per-record, per-constraint oracle, one constraint at a time."""
     scores = {}
     for attack, constraints in kb.per_attack.items():
         if not constraints:
@@ -64,7 +64,7 @@ def reference_scores(record, kb, config):
         zeroed = False
         for constraint in constraints:
             c = reference_credit(record, constraint)
-            if config.mandatory_strict and isinstance(constraint, MandatoryEquals) and c == 0.0:
+            if config.mandatory_strict and constraint.kind is ConstraintKind.MANDATORY_EQUALS and c == 0.0:
                 zeroed = True
                 break
             credit += c
@@ -103,11 +103,10 @@ def oracle_cases(draw):
     edges = {0.0}
     for constraints in kb.per_attack.values():
         for c in constraints:
-            if isinstance(c, InRange):
-                edges |= {c.lo, c.hi}
+            if c.kind is ConstraintKind.IN_RANGE:
+                edges |= {c.a, c.b}
             else:
-                edges |= {c.value, c.value + c.tolerance, c.value - 2.0 * c.tolerance,
-                          c.value + 1.5 * c.tolerance, c.value + 3.0 * c.tolerance}
+                edges |= {c.a, c.a + c.b, c.a - 2.0 * c.b, c.a + 1.5 * c.b, c.a + 3.0 * c.b}
     value = st.sampled_from(sorted(edges)) | st.floats(-1e8, 1e8, allow_nan=False)
     record = make_record(None, **{name: draw(value) for name in FEATURES})
     config = RuleOracleConfig(min_score=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
@@ -147,8 +146,6 @@ class TestRuleOracle:
         assert oracle_verdict(make_record(None), KB) is AttackLabel.UNKNOWN
 
     def test_empty_kb_rejected(self):
-        from kbforge.kb_builder import StructuredKb
-
         with pytest.raises(ValueError):
             oracle_verdict(icmp_flow(), StructuredKb(per_attack={}))
 
@@ -170,13 +167,11 @@ class TestRuleOracle:
         assert scores[AttackLabel.ICMP_FLOOD] > 0.0
 
     def test_typical_near_half_credit(self):
-        from kbforge.kb_builder import InRange, StructuredKb, TypicalNear
-
         kb = StructuredKb(
             per_attack={
                 AttackLabel.UDP_FLOOD: (
-                    InRange("Rate", 0.0, 100.0),
-                    TypicalNear("Rate", 50.0, 10.0),
+                    Constraint("Rate", ConstraintKind.IN_RANGE, 0.0, 100.0),
+                    Constraint("Rate", ConstraintKind.TYPICAL_NEAR, 50.0, 10.0),
                 )
             }
         )

@@ -108,6 +108,8 @@ def reference_best_split_for_feature(
         return None
     i = boundaries[best]
     threshold = float((vs[i] + vs[i + 1]) / 2.0)
+    if threshold >= vs[i + 1]:  # the midpoint rounded onto the upper value
+        threshold = float(vs[i])
     return reduction, threshold
 
 
@@ -164,6 +166,12 @@ def reference_fit_forest(records, targets, params, seed):
             indices = np.arange(n)
         trees.append(reference_grow_tree(X, y, indices, depth=0, params=params, n_root=n))
     return Forest(trees=tuple(trees), params=params, seed=seed)
+
+
+def leaves(node):
+    if isinstance(node, Leaf):
+        return [node]
+    return leaves(node.left) + leaves(node.right)
 
 
 def count_splits(node):
@@ -230,12 +238,11 @@ class TestAgainstPerFeatureSearch:
         assert forest == expected
         assert feature_importance(forest).to_json() == feature_importance(expected).to_json()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's mean of an empty node
     @pytest.mark.parametrize("bootstrap", [False, True])
     def test_midpoint_rounding_onto_the_upper_value(self, bootstrap):
         # Adjacent doubles whose midpoint rounds up to the larger one: the
-        # split at that boundary sends both values left, as `<= threshold`
-        # says, and leaves the right child empty.
+        # split at that boundary takes the lower value as its threshold, so
+        # `<= threshold` still sends the larger one right.
         low = 1.0 + 2.0**-52
         high = float(np.nextafter(low, 2.0))
         assert (low + high) / 2.0 == high
@@ -243,10 +250,10 @@ class TestAgainstPerFeatureSearch:
                    for i, v in enumerate([low, low, low, high, high, high, 2.0, 2.0])]
         targets = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0]
         params = ForestParams(num_trees=3, max_depth=4, min_samples_leaf=1, bootstrap=bootstrap)
-        expected = reference_fit_forest(records, targets, params, seed=1)
-        assert expected.trees[0].threshold == high
-        # repr, because the empty leaves' value is NaN, which equals nothing.
-        assert repr(fit_forest(table_of(records), targets, params, seed=1)) == repr(expected)
+        forest = fit_forest(table_of(records), targets, params, seed=1)
+        assert forest.trees[0].threshold == low
+        assert all(leaf.sample_count > 0 for tree in forest.trees for leaf in leaves(tree))
+        assert forest == reference_fit_forest(records, targets, params, seed=1)
 
 
 class TestParams:

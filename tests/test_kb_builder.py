@@ -6,15 +6,11 @@ from pathlib import Path
 import pytest
 
 from kbforge.canonical import REFERENCE_PROFILES
-from kbforge.flow_data import ATTACK_LABELS, AttackLabel
+from kbforge.flow_data import ATTACK_LABELS, FEATURE_INDEX, AttackLabel
 from kbforge.kb_builder import (
-    Descriptor,
-    DescriptorKind,
-    InRange,
+    Constraint,
+    ConstraintKind,
     KbVariant,
-    KeyFeatureSet,
-    MandatoryEquals,
-    TypicalNear,
     canonical_kb,
     derive_key_features,
     format_number,
@@ -26,6 +22,7 @@ from kbforge.kb_builder import (
     write_kb,
 )
 from kbforge.profile import AttackProfile, FeatureProfile
+from kbforge.synth_traffic import SynthSpec, default_spec, generate_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -128,9 +125,9 @@ class TestDeriveKeyFeatures:
             REFERENCE_PROFILES[AttackLabel.UDP_FLOOD],
         )
         keys = derive_key_features(profiles)
-        icmp = dict(keys.per_attack[AttackLabel.ICMP_FLOOD])
+        icmp = dict(keys[AttackLabel.ICMP_FLOOD])
         assert "Protocol Type" in icmp
-        assert icmp["Protocol Type"] == Descriptor(DescriptorKind.MUST_EQUAL, (1.0,))
+        assert icmp["Protocol Type"] == "Protocol Type has to be 1.0"
 
     def test_identical_profiles_fall_back_to_rank_order(self):
         shared = (("Min", 0.0, 1.0, 2.0), ("Max", 0.0, 1.0, 2.0), ("IAT", 0.0, 1.0, 2.0),
@@ -138,7 +135,7 @@ class TestDeriveKeyFeatures:
         a = profile_of(AttackLabel.ICMP_FLOOD, *shared)
         b = profile_of(AttackLabel.UDP_FLOOD, *shared)
         keys = derive_key_features((a, b))
-        assert [f for f, _ in keys.per_attack[AttackLabel.ICMP_FLOOD]] == ["Min", "Max", "IAT"]
+        assert [f for f, _ in keys[AttackLabel.ICMP_FLOOD]] == ["Min", "Max", "IAT"]
 
     def test_disjoint_ranges_key_each_attack_by_its_own_feature(self):
         a = profile_of(
@@ -154,9 +151,9 @@ class TestDeriveKeyFeatures:
             ("IAT", 0.0, 1.0, 2.0),
         )
         keys = derive_key_features((a, b, c))
-        assert keys.per_attack[AttackLabel.ICMP_FLOOD][0][0] == "Min"
-        assert keys.per_attack[AttackLabel.UDP_FLOOD][0][0] == "Max"
-        assert keys.per_attack[AttackLabel.TCP_FLOOD][0][0] == "IAT"
+        assert keys[AttackLabel.ICMP_FLOOD][0][0] == "Min"
+        assert keys[AttackLabel.UDP_FLOOD][0][0] == "Max"
+        assert keys[AttackLabel.TCP_FLOOD][0][0] == "IAT"
 
     def test_needs_two_profiles(self):
         with pytest.raises(ValueError):
@@ -165,19 +162,21 @@ class TestDeriveKeyFeatures:
 
 class TestRenderShortKb:
     def test_line_shape(self):
-        keys = KeyFeatureSet(
-            per_attack={
-                AttackLabel.ICMP_FLOOD: (
-                    ("Protocol Type", Descriptor(DescriptorKind.MUST_EQUAL, (1.0,))),
-                    ("Rate", Descriptor(DescriptorKind.HIGH)),
-                    ("IAT", Descriptor(DescriptorKind.LOW)),
-                ),
-            }
-        )
-        kb = render_short_kb(keys)
+        # Pinned features, medians above, below and at the peers' median.
+        icmp = profile_of(AttackLabel.ICMP_FLOOD, ("Protocol Type", 1.0, 1.0, 1.0),
+                          ("Rate", 900.0, 1000.0, 1100.0), ("IAT", 1.0, 2.0, 3.0))
+        udp = profile_of(AttackLabel.UDP_FLOOD, ("Protocol Type", 17.0, 17.0, 17.0),
+                         ("Rate", 0.0, 10.0, 20.0), ("IAT", 50.0, 60.0, 70.0))
+        tcp = profile_of(AttackLabel.TCP_FLOOD, ("Protocol Type", 6.0, 6.0, 6.0),
+                         ("Rate", 300.0, 400.0, 500.0), ("IAT", 20.0, 30.0, 40.0))
+        kb = render_short_kb(derive_key_features((icmp, udp, tcp)))
         assert kb.entries[AttackLabel.ICMP_FLOOD] == (
             "DDoS-ICMP_Flood: Protocol Type has to be 1.0; High Rate; "
             "Low Inter-Arrival Time (IAT)."
+        )
+        assert kb.entries[AttackLabel.TCP_FLOOD] == (
+            "DDoS-TCP_Flood: Protocol Type has to be 6.0; Rate between 300.0 and 500.0; "
+            "Inter-Arrival Time (IAT) between 20.0 and 40.0."
         )
 
     def test_covers_all_seven_with_reference_fallback(self):
@@ -188,9 +187,8 @@ class TestRenderShortKb:
         assert kb.entries[AttackLabel.SYN_FLOOD] == "DDoS-SYN_Flood Elevated SYN flag."
 
     def test_empty_descriptor_list_rejected(self):
-        keys = KeyFeatureSet(per_attack={AttackLabel.ICMP_FLOOD: ()})
         with pytest.raises(ValueError):
-            render_short_kb(keys)
+            render_short_kb({AttackLabel.ICMP_FLOOD: ()})
 
 
 class TestStructuredKb:
@@ -200,18 +198,20 @@ class TestStructuredKb:
         by_feature = {}
         for constraint in icmp:
             by_feature.setdefault(constraint.feature, []).append(constraint)
-        assert by_feature["Protocol Type"] == [MandatoryEquals("Protocol Type", 1.0)]
-        kinds = {type(c) for c in by_feature["Min"]}
-        assert kinds == {InRange, TypicalNear}
+        assert by_feature["Protocol Type"] == [
+            Constraint("Protocol Type", ConstraintKind.MANDATORY_EQUALS, 1.0, 1e-6)
+        ]
+        kinds = {c.kind for c in by_feature["Min"]}
+        assert kinds == {ConstraintKind.IN_RANGE, ConstraintKind.TYPICAL_NEAR}
 
     def test_example_rate_constraint(self):
         profile = profile_of(AttackLabel.UDP_FLOOD, ("Rate", 6.0, 7480.80, 1569352.1))
         kb = structured_kb([profile])
-        in_range = [c for c in kb.per_attack[AttackLabel.UDP_FLOOD] if isinstance(c, InRange)]
-        typical = [c for c in kb.per_attack[AttackLabel.UDP_FLOOD] if isinstance(c, TypicalNear)]
-        assert in_range == [InRange("Rate", 6.0, 1569352.1)]
-        assert typical[0].value == 7480.80
-        assert typical[0].tolerance == pytest.approx(0.05 * (1569352.1 - 6.0))
+        in_range, typical = kb.per_attack[AttackLabel.UDP_FLOOD]
+        assert in_range == Constraint("Rate", ConstraintKind.IN_RANGE, 6.0, 1569352.1)
+        assert typical.kind is ConstraintKind.TYPICAL_NEAR
+        assert typical.a == 7480.80
+        assert typical.b == pytest.approx(0.05 * (1569352.1 - 6.0))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -220,8 +220,9 @@ class TestStructuredKb:
     def test_json_round_trip(self):
         # Attacks in registry order, constraints in KB order, floats exact.
         kb = StructuredKb(per_attack={
-            AttackLabel.UDP_FLOOD: (InRange("Rate", 6.0, 1 / 3), TypicalNear("Rate", 0.1, 2.5e-7)),
-            AttackLabel.ICMP_FLOOD: (MandatoryEquals("Protocol Type", 1.0),),
+            AttackLabel.UDP_FLOOD: (Constraint("Rate", ConstraintKind.IN_RANGE, 6.0, 1 / 3),
+                                    Constraint("Rate", ConstraintKind.TYPICAL_NEAR, 0.1, 2.5e-7)),
+            AttackLabel.ICMP_FLOOD: (Constraint("Protocol Type", ConstraintKind.MANDATORY_EQUALS, 1.0, 1e-6),),
         })
         payload = json.loads(structured_kb_to_json(kb))
         assert list(payload) == ["DDoS-ICMP_Flood", "DDoS-UDP_Flood"]
@@ -236,16 +237,32 @@ class TestStructuredKb:
         }
 
     def test_profile_rows_satisfy_their_ranges(self):
-        # every record used to build a profile stays inside its InRange constraints
-        from kbforge.synth_traffic import default_spec, generate_dataset
-
+        # every record used to build a profile stays inside its range constraints
         records, _ = generate_dataset(default_spec(n_per_attack=50, jitter=1.0, seed=3))
         kb = structured_kb(tuple(REFERENCE_PROFILES.values()))
         for record in records:
             for constraint in kb.per_attack[record.label]:
-                if isinstance(constraint, InRange):
-                    value = record.features[constraint.feature]
-                    assert constraint.lo <= value <= constraint.hi
+                if constraint.kind is ConstraintKind.IN_RANGE:
+                    assert constraint.a <= record.features[constraint.feature] <= constraint.b
+
+
+class TestOnePinnedRule:
+    def test_range_within_tolerance_is_pinned_in_every_form(self):
+        # max - min = 6e-7 <= 1e-6, though min, median and max all differ.
+        pinned = profile_of(AttackLabel.ICMP_FLOOD, ("Min", 1.0, 1.0 + 3e-7, 1.0 + 6e-7))
+        rival = profile_of(AttackLabel.UDP_FLOOD, ("Min", 40.0, 50.0, 60.0))
+        assert pinned.ranked_features[0].is_constant
+
+        table, _ = generate_dataset(SynthSpec(profiles=(pinned,), n_per_attack=50, jitter=1.0, seed=4))
+        assert (table.X[:, FEATURE_INDEX["Min"]] == 1.0 + 3e-7).all()
+
+        long_kb = render_long_kb([pinned]).entries[AttackLabel.ICMP_FLOOD]
+        assert "- Min Packet Size: Has to be 1.0." in long_kb.split("\n")
+        keys = derive_key_features((pinned, rival))
+        assert keys[AttackLabel.ICMP_FLOOD] == (("Min", "Min Packet Size has to be 1.0"),)
+        assert structured_kb([pinned]).per_attack[AttackLabel.ICMP_FLOOD] == (
+            Constraint("Min", ConstraintKind.MANDATORY_EQUALS, 1.0 + 3e-7, 1e-6),
+        )
 
 
 class TestWriteKb:
