@@ -4,19 +4,17 @@ endpoints, and a replay of stored verdicts for offline tests."""
 
 from __future__ import annotations
 
-import http.client
 import json
-import select
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
 
-from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord, canonicalize_label
+import numpy as np
+
+from .flow_data import ATTACK_LABELS, FEATURE_INDEX, LABEL_CODES, AttackLabel, FlowRecord, canonicalize_label
 from .kb_builder import ConstraintKind, KnowledgeBase, StructuredKb
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
@@ -126,6 +124,41 @@ class RuleOracleDetector:
         best = max(ATTACK_LABELS, key=lambda attack: scores.get(attack, -1.0))  # first of equals
         return best if scores.get(best, -1.0) >= self.config.min_score else AttackLabel.UNKNOWN
 
+    def classify_table(self, X: np.ndarray) -> np.ndarray:
+        """classify's verdict for every row of a FlowTable matrix, as label
+        codes (flow_data.LABEL_CODES). Scores each rule column by column with
+        the float expressions of `scores`, so the verdicts equal classify's."""
+        strict = self.config.mandatory_strict
+        rules_of = dict(self._rules)
+        best = np.full(len(X), -1.0)  # the score of an attack the KB lacks
+        verdict = np.empty(len(X), dtype=np.intp)
+        for attack in ATTACK_LABELS:
+            if attack not in rules_of:
+                continue
+            rules = rules_of[attack]
+            credit = np.zeros(len(X))
+            held = np.ones(len(X), dtype=bool)  # every mandatory rule met
+            for feature, kind, a, b in rules:
+                value = X[:, FEATURE_INDEX[feature]]
+                if kind is _IN_RANGE:
+                    credit += (a <= value) & (value <= b)
+                    continue
+                delta = np.abs(value - a)
+                hit = delta <= b
+                credit += hit
+                if kind is _MANDATORY_EQUALS:
+                    held &= hit
+                else:
+                    credit += 0.5 * (~hit & (delta <= 2.0 * b))  # near miss gets half credit
+            score = credit / len(rules)
+            if strict:
+                score[~held] = 0.0
+            better = score > best  # strictly: the first of equal scores keeps the verdict
+            best[better] = score[better]
+            verdict[better] = LABEL_CODES[attack]
+        verdict[best < self.config.min_score] = LABEL_CODES[AttackLabel.UNKNOWN]
+        return verdict
+
 
 # ---------------------------------------------------------------------------
 # LLM endpoint backend (Ollama-style generate API, or chat completions).
@@ -165,6 +198,9 @@ def _retry_after_s(header: str | None) -> float | None:
     HTTP-date (RFC 9110 section 10.2.3); None when absent or unreadable."""
     if header is None:
         return None
+    from datetime import datetime, timezone
+    from email.utils import parsedate_to_datetime
+
     header = header.strip()
     if header.isascii() and header.isdigit():
         return float(header)
@@ -194,6 +230,10 @@ class LlmDetector:
         config: LlmEndpointConfig = LlmEndpointConfig(),
         mode: DescribeMode = DescribeMode.QUALITATIVE,
     ):
+        # The HTTP client stack loads here, not with the module: the oracle and
+        # replay backends, rank and kb never use it.
+        import http.client
+
         self.config = config
         self.mode = mode
         self.backend_id = f"llm:{config.model_name}"
@@ -223,6 +263,8 @@ class LlmDetector:
         close (or bytes sent out of turn), so it is dropped before it can
         fail a request and use up a retry.
         """
+        import select
+
         with self._idle_lock:
             while self._idle:
                 conn = self._idle.pop()
@@ -234,6 +276,8 @@ class LlmDetector:
         return self._connection_class(self._host, self._port, timeout=self.config.request_timeout_s)
 
     def _request_once(self, prompt_text: str) -> str:
+        import http.client
+
         cfg = self.config
         if cfg.api == "generate":
             body = {

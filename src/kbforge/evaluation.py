@@ -7,13 +7,22 @@ import contextlib
 import functools
 import itertools
 import json
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .detectors import Detector, TransportError
-from .flow_data import ATTACK_LABELS, AttackLabel, FlowRecord, FlowTable, canonicalize_label
+from .flow_data import (
+    ATTACK_LABELS,
+    LABEL_CODES,
+    LABELS,
+    AttackLabel,
+    FlowRecord,
+    FlowTable,
+    canonicalize_label,
+)
 
 
 class KbConfig(Enum):
@@ -82,6 +91,9 @@ def _classified(classify, table: FlowTable, workers: int):
     if workers <= 1:
         yield from (functools.partial(classify, record) for record in table)
         return
+    # Imported here: only a threaded run needs the pool.
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
     queue = iter(table)
     pool = ThreadPoolExecutor(max_workers=workers)
 
@@ -99,6 +111,27 @@ def _classified(classify, table: FlowTable, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _classify_rows(backend: Detector, table: FlowTable, kb, strict: bool, workers: int):
+    """(true codes, predicted codes) of the records classified, and the number
+    of records whose transport failed in a best-effort run."""
+
+    def one(record: FlowRecord) -> tuple[int, int]:
+        return LABEL_CODES[record.label], LABEL_CODES[backend.classify(record, kb)]
+
+    pairs: list[tuple[int, int]] = []
+    errors = 0
+    with contextlib.closing(_classified(one, table, workers)) as outcomes:
+        for outcome in outcomes:
+            try:
+                pairs.append(outcome())
+            except TransportError:
+                if strict:
+                    raise
+                errors += 1
+    true, predicted = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return true, predicted, errors
+
+
 def evaluate(
     backend: Detector,
     table: FlowTable,
@@ -107,30 +140,27 @@ def evaluate(
     strict: bool = True,
     workers: int = 1,
 ) -> ConfusionMatrix:
-    """Classify every row of the table as a FlowRecord and tally (true,
-    predicted) pairs.
+    """Classify every row of the table and tally (true, predicted) pairs.
 
-    In strict mode a transport failure aborts the run; best-effort runs count
-    the failure in error_count and leave the record out of the total. Tallying
-    is a commutative merge, so worker count never changes the result.
+    A backend with `classify_table` (the rule oracle) labels the whole matrix
+    in one call. Any other backend gets one `classify(record, kb)` per row,
+    on `workers` threads; in strict mode a transport failure aborts the run,
+    and best-effort runs count the failure in error_count and leave the
+    record out of the total. Both paths feed one tally of label codes, and
+    worker count never changes the result.
     """
     if (table.codes < 0).any():
         raise EvaluationError("evaluate requires every record to be labeled")
-
-    def one(record: FlowRecord):
-        return record.label, backend.classify(record, kb)
-
-    cm = ConfusionMatrix()
-    with contextlib.closing(_classified(one, table, workers)) as outcomes:
-        for outcome in outcomes:
-            try:
-                true, predicted = outcome()
-            except TransportError:
-                if strict:
-                    raise
-                cm.error_count += 1
-                continue
-            cm.add(true, predicted)
+    if hasattr(backend, "classify_table"):
+        true, predicted, errors = table.codes.astype(np.intp), backend.classify_table(table.X), 0
+    else:
+        true, predicted, errors = _classify_rows(backend, table, kb, strict, workers)
+    n = len(LABELS)
+    tally = np.bincount(true * n + predicted, minlength=n * n)
+    cm = ConfusionMatrix(error_count=errors)
+    for cell in np.flatnonzero(tally).tolist():
+        true_code, predicted_code = divmod(cell, n)
+        cm.add(LABELS[true_code], LABELS[predicted_code], int(tally[cell]))
     return cm
 
 

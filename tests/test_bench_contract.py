@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from kbforge import cli
 from kbforge.flow_data import ATTACK_LABELS, FlowRecord, load_dataset, stratified_sample, write_dataset
 from kbforge.forest_rank import Forest, ForestParams, fit_forest
 from kbforge.kb_builder import KbVariant, canonical_kb
@@ -85,3 +86,22 @@ def test_traced_cli_runs_reach_every_traced_call(tmp_path, traced):
     # evaluate makes one classify call per sampled row and KB configuration.
     assert sum(span.name == traced.CLASSIFY for span in runs["eval"].tracer.spans) == 3 * 20
     assert evaluated["prompt.us_per_call"] > 0 and evaluated["digest.us_per_record"] > 0
+
+
+def test_traced_oracle_eval_writes_the_bytes_of_a_plain_run(tmp_path, traced):
+    # The traced run wraps the detector, so its evaluate classifies row by
+    # row; a plain run scores the whole table at once. The eval/ files agree.
+    argv = ["eval", "--synth", "--n-per-attack", "30", "--n-per-class", "30", "--jitter", "1.0",
+            "--kb-source", "generated", "--seed", "5"]
+    run = traced.traced_run([*argv, "--out", str(tmp_path / "traced")], "t")
+    assert run.returncode == 0, run.cli_output
+    assert sum(span.name == traced.CLASSIFY for span in run.tracer.spans) == 3 * 120
+    assert cli.main([*argv, "--out", str(tmp_path / "plain")]) == 0
+
+    def eval_files(root):
+        (eval_dir,) = root.glob("run-*/eval")
+        return {p.relative_to(eval_dir): p.read_bytes() for p in sorted(eval_dir.rglob("*")) if p.is_file()}
+
+    traced_files = eval_files(tmp_path / "traced")
+    assert len(traced_files) == 6  # grid.{txt,csv,json} and one confusion file per KB config
+    assert traced_files == eval_files(tmp_path / "plain")

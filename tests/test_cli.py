@@ -572,12 +572,14 @@ class TestEnvAndLock:
 
 
 class TestDependencies:
-    """The CLI starts on the standard library plus numpy; an HTTP library
+    """The CLI starts on the standard library plus numpy; an HTTP library, or
+    the stdlib HTTP client and thread pool that only an LLM run uses,
     imported at start-up would cost every run, rank and rule-oracle eval too."""
 
     def test_cli_import_loads_no_http_library(self):
         src = Path(kbforge.__file__).resolve().parents[1]
-        code = "import kbforge.cli, sys; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        unused = {"requests", "urllib3", "http.client", "ssl", "email", "concurrent.futures"}
+        code = f"import kbforge.cli, sys; print(sorted({unused!r} & set(sys.modules)))"
         env = {**os.environ, "PYTHONPATH": str(src)}
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

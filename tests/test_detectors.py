@@ -24,7 +24,7 @@ from kbforge.detectors import (
     load_replay_store,
 )
 from kbforge.evaluation import evaluate
-from kbforge.flow_data import ATTACK_LABELS, FEATURES, AttackLabel
+from kbforge.flow_data import ATTACK_LABELS, LABELS, AttackLabel
 from kbforge.kb_builder import Constraint, ConstraintKind, StructuredKb, structured_kb
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.prompting import record_digest
@@ -83,10 +83,11 @@ def reference_classify(record, kb, config):
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, rows: int = 1):
     """A structured KB (the reference one, or one built from random profiles
-    over a few features) and a record whose values sit on and around its
-    constraint edges."""
+    over a few features), `rows` records whose values sit on and around its
+    constraint edges (features no constraint reads stay 0.0), and an oracle
+    config."""
     if draw(st.booleans()):
         kb = KB
     else:
@@ -108,9 +109,10 @@ def oracle_cases(draw):
             else:
                 edges |= {c.a, c.a + c.b, c.a - 2.0 * c.b, c.a + 1.5 * c.b, c.a + 3.0 * c.b}
     value = st.sampled_from(sorted(edges)) | st.floats(-1e8, 1e8, allow_nan=False)
-    record = make_record(None, **{name: draw(value) for name in FEATURES})
+    read = sorted({c.feature for constraints in kb.per_attack.values() for c in constraints})
+    records = [make_record(None, **{name: draw(value) for name in read}) for _ in range(rows)]
     config = RuleOracleConfig(min_score=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
-    return record, kb, config
+    return records, kb, config
 
 
 def icmp_flow():
@@ -214,11 +216,20 @@ class TestRuleOracle:
     @settings(max_examples=200, deadline=None)
     @given(case=oracle_cases())
     def test_compiled_oracle_equals_per_constraint_reference(self, strict, case):
-        record, kb, config = case
+        (record,), kb, config = case
         config = RuleOracleConfig(min_score=config.min_score, mandatory_strict=strict)
         assert oracle_scores(record, kb, config) == reference_scores(record, kb, config)
         expected = reference_classify(record, kb, config)
         assert oracle_verdict(record, kb, config) is expected
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @settings(max_examples=100, deadline=None)
+    @given(case=oracle_cases(rows=4))
+    def test_table_verdicts_equal_per_row_reference(self, strict, case):
+        records, kb, config = case
+        config = RuleOracleConfig(min_score=config.min_score, mandatory_strict=strict)
+        codes = RuleOracleDetector(kb, config).classify_table(table_of(records).X)
+        assert [LABELS[code] for code in codes] == [reference_classify(r, kb, config) for r in records]
 
 
 class TestLlmDetector:

@@ -10,6 +10,7 @@ from kbforge.detectors import (
     EndpointStatusError,
     LlmDetector,
     LlmEndpointConfig,
+    RuleOracleConfig,
     RuleOracleDetector,
     TransportError,
 )
@@ -26,7 +27,7 @@ from kbforge.evaluation import (
     render_table,
     select_best_kb,
 )
-from kbforge.flow_data import ATTACK_LABELS, AttackLabel
+from kbforge.flow_data import ATTACK_LABELS, AttackLabel, FlowTable
 from kbforge.kb_builder import structured_kb
 from kbforge.synth_traffic import default_spec, generate_dataset
 
@@ -36,6 +37,17 @@ ICMP = AttackLabel.ICMP_FLOOD
 UDP = AttackLabel.UDP_FLOOD
 TCP = AttackLabel.TCP_FLOOD
 PSHACK = AttackLabel.PSHACK_FLOOD
+
+
+class PerRow:
+    """A backend that offers only classify, so evaluate takes the per-row path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+
+    def classify(self, record, kb=None):
+        return self.inner.classify(record, kb)
 
 
 def cm_of(*pairs):
@@ -167,10 +179,23 @@ class TestEvaluate:
 
     def test_worker_count_does_not_change_counts(self):
         records, _ = generate_dataset(default_spec(n_per_attack=20, jitter=0.3, seed=4))
-        backend = RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values())))
+        backend = PerRow(RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values()))))
         sequential = evaluate(backend, records, workers=1)
         threaded = evaluate(backend, records, workers=4)
         assert sequential.counts == threaded.counts
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    def test_table_path_equals_per_row_path(self, strict):
+        table, _ = generate_dataset(default_spec(n_per_attack=40, jitter=1.0, seed=5))
+        # Zero about 30 % of the values, so that verdicts spread off the diagonal.
+        zeroed = np.random.Generator(np.random.PCG64(5)).random(table.X.shape) < 0.3
+        records = FlowTable(np.where(zeroed, 0.0, table.X), table.codes)
+        oracle = RuleOracleDetector(
+            structured_kb(tuple(REFERENCE_PROFILES.values())), RuleOracleConfig(mandatory_strict=strict)
+        )
+        cm = evaluate(oracle, records)
+        assert cm.to_dict() == evaluate(PerRow(oracle), records).to_dict()
+        assert len({true for true, predicted in cm.counts if true is not predicted}) > 1
 
 
 class TestGrid:
