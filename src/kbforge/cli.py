@@ -310,25 +310,29 @@ class RunLock:
 # ---------------------------------------------------------------------------
 
 
+def _read_csv(path: str | Path, **options) -> flow_data.FlowTable:
+    """The rows of a dataset CSV; if any row was skipped, one JSON line on
+    stderr names the file and counts the rows kept and skipped."""
+    table, summary = flow_data.load_dataset(path, **options)
+    if summary.skipped_count:
+        report = {"file": str(path), "rows_kept": summary.record_count, "rows_skipped": summary.skipped_count}
+        print(json.dumps({"warning": {"kind": "rows_skipped", **report}}), file=sys.stderr)
+    return table
+
+
 def _load_table(config: RunConfig) -> flow_data.FlowTable:
     dataset = config.data.dataset
     if dataset is None:
         table, _ = synth_traffic.generate_dataset(config.data.synth.spec(config.seed))
         return table
-    table, _ = flow_data.load_dataset(dataset.path, label_column=dataset.label_column)
-    return table
+    return _read_csv(dataset.path, label_column=dataset.label_column)
 
 
 def _rank_all(config: RunConfig, table) -> dict[flow_data.AttackLabel, forest_rank.ImportanceReport]:
-    reports = {}
-    for attack in flow_data.ATTACK_LABELS:
-        if table.has_label(attack).any():
-            reports[attack] = forest_rank.rank_features_for_attack(
-                table, attack, params=config.forest, seed=config.seed
-            )
-    if not reports:
+    attacks = [attack for attack in flow_data.ATTACK_LABELS if table.has_label(attack).any()]
+    if not attacks:
         raise RuntimeError("no attack-labeled records to rank")
-    return reports
+    return forest_rank.rank_features_for_attack(table, attacks, params=config.forest, seed=config.seed)
 
 
 def _build_profiles(config: RunConfig, table) -> list[profile_mod.AttackProfile]:
@@ -488,7 +492,7 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
     if args.record:
         records = [args.record]  # parsed before the run lock
     elif args.input:
-        records, _ = flow_data.load_dataset(args.input, require_labels=False)
+        records = _read_csv(args.input, require_labels=False)
     else:
         records = _load_table(config)
     profiles = _resolve_profiles(config, args.profiles)

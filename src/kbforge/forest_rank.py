@@ -1,4 +1,4 @@
-"""Random forest of regression trees on a 0/1 indicator, with mean-MSE-reduction importance.
+"""Random forest of regression trees on 0/1 indicators, with mean-MSE-reduction importance.
 
 The target is the one-vs-rest indicator of an attack: ``fit_forest`` takes
 only 0/1 values and raises ``ValueError`` for any other. Split finding is
@@ -35,6 +35,23 @@ slice; when both children are leaves (by depth, size or purity) the
 partition is skipped. Scoring and partitioning take the rows in chunks of
 at most ``CHUNK_ELEMENTS`` elements, which bounds a node's temporaries, and
 so peak memory, whatever the data size.
+
+``fit_forest`` takes one indicator of shape (n,) or a (k, n) stack of them,
+and the ``Forest`` it returns lists its trees target-major:
+``trees[i * num_trees + t]`` is tree t of target i. Tree t of every target
+draws the same bootstrap, so for each tree index ``fit_forest`` draws the
+bootstrap, compresses the presorted rows and scans the root once for all
+targets. The draw count and every target's positive draws are packed into
+int64 words, one field of ``n.bit_length()`` bits each and as many fields to
+a word as fit below the sign bit; no field's prefix sum exceeds n, so one
+prefix sum per word counts them all. The value gather, the distinct-value
+boundaries, the draw prefix and the admissibility test serve every target;
+each target adds only its positive prefix at the admissible boundaries, its
+reductions and its argmax. Below the root each target grows as a fit on it
+alone would, with a word that packs only its own field. The last target
+partitions the shared buffer; every other target a copy of it, taken when
+its root split needs a partition. Every tree is thus the tree a fit on that
+one target grows.
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -95,10 +112,26 @@ class Forest:
 #: search or partition handles at once; it caps the temporaries a node allocates.
 CHUNK_ELEMENTS = 1 << 15
 
-#: A record's draws and positive draws share one int64, ``draws + (positive
-#: draws << _SHIFT)``, so that one integer prefix sum counts both.
-_SHIFT = 32
-_LOW = (1 << _SHIFT) - 1
+#: Bits of an int64 that packed fields may fill; the sign bit stays clear.
+_WORD_BITS = 63
+
+
+def _pack(counts: np.ndarray, positives: np.ndarray, bits: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Pack each record's draws and every target's positive draws in
+    ``bits``-bit fields of int64 words; return the words and each target's
+    field as (word, shift).
+
+    Field 0 is the draw count (the low bits of word 0) and field 1 + i the
+    positive draws of target i; each word holds as many fields as fit. No
+    prefix sum of a field exceeds the record count, which ``bits`` bits hold,
+    so a prefix sum of the words carries nothing from one field to the next.
+    """
+    per_word = _WORD_BITS // bits
+    words = np.zeros((-(-(1 + len(positives)) // per_word), counts.size), dtype=np.int64)
+    fields = [divmod(f, per_word) for f in range(1 + len(positives))]
+    for (word, slot), values in zip(fields, (counts, *positives)):
+        words[word] += values << (bits * slot)
+    return words, [(word, bits * slot) for word, slot in fields[1:]]
 
 
 class _TreeGrower:
@@ -107,37 +140,50 @@ class _TreeGrower:
     ``order`` has one row per entry of ``columns``: the tree's drawn records,
     each once, sorted by that column's value, then by index. A node owns the
     columns ``lo:hi`` of every row; it also knows its draw count ``n`` and
-    the positive draws ``s`` among them.
+    the positive draws ``s`` among them. ``words`` are ``_pack``'s words and
+    ``field`` names the target that ``grow`` follows; ``best_splits`` scores
+    whichever targets it is given. With ``shares_order`` set, the first
+    partition copies ``order``, so the caller's buffer stays as it was.
     """
 
     def __init__(
         self,
         columns: np.ndarray,
         names: tuple[str, ...],
-        draws: np.ndarray,
         order: np.ndarray,
         params: ForestParams,
+        words: np.ndarray,
+        bits: int,
+        field: tuple[int, int] = (0, 0),
+        shares_order: bool = False,
     ):
         self.values = columns.ravel()
         self.offsets = np.arange(0, columns.size, columns.shape[1])[:, None]
         self.names = names
-        self.draws = draws
         self.order = order
         self.params = params
+        self.words = words
+        self.mask = (1 << bits) - 1
+        self.field = field
+        self.shares_order = shares_order
         self.n_root = columns.shape[1]
 
-    def _is_leaf(self, n: int, s: int, depth: int) -> bool:
+    def is_leaf(self, n: int, s: int, depth: int) -> bool:
         return depth >= self.params.max_depth or n < 2 * self.params.min_samples_leaf or s in (0, n)
 
     def grow(self, lo: int, hi: int, depth: int, n: int, s: int) -> TreeNode:
-        best = None if self._is_leaf(n, s, depth) else self._best_split(lo, hi, n, s)
+        best = None if self.is_leaf(n, s, depth) else self.best_splits(lo, hi, n, [self.field], [s])[0]
+        return self.node(lo, hi, depth, n, s, best)
+
+    def node(self, lo: int, hi: int, depth: int, n: int, s: int, best: tuple | None) -> TreeNode:
+        """The node of ``grow(lo, hi, depth, n, s)`` once its best split is known."""
         if best is None:
             return Leaf(value=s / n, sample_count=n)
 
         reduction, column, threshold, m_left, n_left, s_left = best
         mid = lo + m_left
         n_right, s_right = n - n_left, s - s_left
-        if not (self._is_leaf(n_left, s_left, depth + 1) and self._is_leaf(n_right, s_right, depth + 1)):
+        if not (self.is_leaf(n_left, s_left, depth + 1) and self.is_leaf(n_right, s_right, depth + 1)):
             self._partition(lo, hi, column, m_left)
         return Split(
             feature=self.names[column],
@@ -147,54 +193,64 @@ class _TreeGrower:
             weighted_mse_reduction=reduction / self.n_root,
         )
 
-    def _best_split(self, lo: int, hi: int, n: int, s: int) -> tuple | None:
-        """Return (sse_reduction, column, threshold, records_left, n_left,
-        s_left) of the node's best split, or None.
+    def best_splits(
+        self, lo: int, hi: int, n: int, fields: list[tuple[int, int]], totals: list[int]
+    ) -> list[tuple | None]:
+        """For each target, given by its field and its positive draws in
+        ``totals``, return (sse_reduction, column, threshold, records_left,
+        n_left, s_left) of the node's best split, or None.
 
         Boundary i puts records [0..i] of a row left and the rest right; it is
         admissible when the values differ across it and both sides hold at
-        least min_samples_leaf draws.
+        least min_samples_leaf draws. The gather, the boundaries, the prefix
+        sums and the admissibility test serve every target at once.
         """
         m = hi - lo
         min_leaf = self.params.min_samples_leaf
-        total, total_n = float(s), float(n)
-        sse_total = total - (total * total) / total_n
-        best = None
+        total_n = float(n)
+        best: list[tuple | None] = [None] * len(fields)
         step = max(1, CHUNK_ELEMENTS // m)
         for r0 in range(0, self.order.shape[0], step):
             rows = self.order[r0 : r0 + step, lo:hi]
             vs = np.take(self.values, rows + self.offsets[r0 : r0 + step])
             at = np.flatnonzero(vs[:, :-1] < vs[:, 1:])  # boundaries between distinct values, row-major
-            prefix = np.take(self.draws, rows).cumsum(axis=1).ravel()[at + at // (m - 1)]
-            n_left = prefix & _LOW
+            ends = at + at // (m - 1)
+            prefix = [np.take(word, rows).cumsum(axis=1).ravel()[ends] for word in self.words]
+            n_left = prefix[0] & self.mask
             admissible = (n_left >= min_leaf) & (n_left <= n - min_leaf)
-            at, prefix, n_left = at[admissible], prefix[admissible], n_left[admissible]
+            at, n_left = at[admissible], n_left[admissible]
             if at.size == 0:
                 continue
-            # The per-feature search's expressions over float cumsums of a 0/1
-            # target, where sum(y * y) == sum(y): whole-number draw counts give
-            # every operand exactly, so each reduction is the same float.
+            prefix = [p[admissible] for p in prefix]
             nl = n_left.astype(np.float64)
-            sl = (prefix >> _SHIFT).astype(np.float64)
-            sr = total - sl
-            reductions = sse_total - (sl - (sl * sl) / nl) - (sr - (sr * sr) / (total_n - nl))
-            # The first maximum in row-major order is the lower registry index,
-            # then the smaller threshold.
-            j = int(reductions.argmax())
-            if best is None or reductions[j] > best[0]:
-                r, i = divmod(int(at[j]), m - 1)
-                threshold = float((vs[r, i] + vs[r, i + 1]) / 2.0)
-                if threshold >= vs[r, i + 1]:  # rounded onto the upper value
-                    threshold = float(vs[r, i])
-                counts = int(prefix[j] & _LOW), int(prefix[j] >> _SHIFT)
-                best = (float(reductions[j]), r0 + r, threshold, i + 1, *counts)
-        if best is None or best[0] <= 0.0:
-            return None
-        return best
+            nr = total_n - nl
+            for i, ((word, shift), s) in enumerate(zip(fields, totals)):
+                # The per-feature search's expressions over float cumsums of a
+                # 0/1 target, where sum(y * y) == sum(y): whole-number draw
+                # counts give every operand exactly, so each reduction is the
+                # same float.
+                total = float(s)
+                sse_total = total - (total * total) / total_n
+                s_left = (prefix[word] >> shift) & self.mask
+                sl = s_left.astype(np.float64)
+                sr = total - sl
+                reductions = sse_total - (sl - (sl * sl) / nl) - (sr - (sr * sr) / nr)
+                # The first maximum in row-major order is the lower registry
+                # index, then the smaller threshold.
+                j = int(reductions.argmax())
+                if best[i] is None or reductions[j] > best[i][0]:
+                    r, c = divmod(int(at[j]), m - 1)
+                    threshold = float((vs[r, c] + vs[r, c + 1]) / 2.0)
+                    if threshold >= vs[r, c + 1]:  # rounded onto the upper value
+                        threshold = float(vs[r, c])
+                    best[i] = (float(reductions[j]), r0 + r, threshold, c + 1, int(n_left[j]), int(s_left[j]))
+        return [None if b is None or b[0] <= 0.0 else b for b in best]
 
     def _partition(self, lo: int, hi: int, column: int, m_left: int) -> None:
         """Move the node's first m_left records of row ``column`` to the front
         of every row, keeping each side's order."""
+        if self.shares_order:
+            self.order, self.shares_order = self.order.copy(), False
         m = hi - lo
         left = np.zeros(self.n_root, dtype=bool)
         left[self.order[column, lo : lo + m_left]] = True
@@ -214,17 +270,21 @@ def fit_forest(
     params: ForestParams = ForestParams(),
     seed: int = 0,
 ) -> Forest:
-    """Train a forest of regression trees on the registry features for a 0/1
-    indicator target.
+    """Train a forest of regression trees on the registry features for each
+    0/1 indicator target: ``target`` is one indicator of shape (n,) or a
+    (k, n) stack of them.
 
-    Deterministic for a fixed (row order, params, seed); each tree sees a
-    bootstrap resample of the same size when params.bootstrap is set.
+    The forest lists its trees target-major: ``trees[i * num_trees + t]`` is
+    tree t of target i, and every tree equals the one a fit on target i alone
+    grows. Deterministic for a fixed (row order, params, seed); each tree sees
+    a bootstrap resample of the same size when params.bootstrap is set.
     """
     if len(table) < 2:
         raise ValueError("need at least 2 records to fit a forest")
     X = table.X
-    y = np.asarray(target, dtype=np.float64)
-    if y.shape != (X.shape[0],):
+    n = X.shape[0]
+    y = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    if y.ndim != 2 or y.shape[1] != n or y.shape[0] == 0:
         raise ValueError("target must be defined for every record")
     positive = y == 1.0
     if not (positive | (y == 0.0)).all():
@@ -233,11 +293,12 @@ def fit_forest(
     if varying.size == 0:
         raise ValueError("need at least 2 distinct records to fit a forest")
 
-    n = X.shape[0]
+    k = y.shape[0]
     columns = np.ascontiguousarray(X[:, varying].T)
     names = tuple(FEATURES[j] for j in varying)
     presorted = table.sorted_rows()[varying].ravel()
-    trees = []
+    bits = n.bit_length()
+    trees: list[list[TreeNode]] = [[] for _ in range(k)]
     for t in range(params.num_trees):
         if params.bootstrap:
             rng = np.random.Generator(np.random.PCG64(seed ^ t))
@@ -247,11 +308,22 @@ def fit_forest(
         # Each row keeps its drawn records, as numpy's index type (no cast per gather).
         order = np.compress(np.take(counts > 0, presorted), presorted).reshape(varying.size, -1)
         order = order.astype(np.intp)
+        m = order.shape[1]
         positives = counts * positive
-        draws = counts + (positives << _SHIFT)
-        grower = _TreeGrower(columns, names, draws, order, params)
-        trees.append(grower.grow(0, order.shape[1], 0, n, int(positives.sum())))
-    return Forest(trees=tuple(trees), params=params, seed=seed)
+        totals = positives.sum(axis=1).tolist()
+        # One root scan serves every target that is not a leaf at the root.
+        words, fields = _pack(counts, positives, bits)
+        root = _TreeGrower(columns, names, order, params, words, bits)
+        searched = [i for i in range(k) if not root.is_leaf(n, totals[i], 0)]
+        found = root.best_splits(0, m, n, [fields[i] for i in searched], [totals[i] for i in searched])
+        bests = dict(zip(searched, found))
+        for i in range(k):
+            # Below the root a target needs only its own field. Every target
+            # but the last partitions a copy of the shared buffer.
+            words, (field,) = _pack(counts, positives[i : i + 1], bits)
+            grower = _TreeGrower(columns, names, order, params, words, bits, field, shares_order=i < k - 1)
+            trees[i].append(grower.node(0, m, 0, n, totals[i], bests.get(i)))
+    return Forest(trees=tuple(tree for per_target in trees for tree in per_target), params=params, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -286,20 +358,23 @@ def _accumulate_tree_importance(node: TreeNode, sink: dict[str, float]) -> None:
     _accumulate_tree_importance(node.right, sink)
 
 
-def feature_importance(forest: Forest) -> ImportanceReport:
-    """Average per-tree MSE reductions per feature, normalized to sum to one.
+def feature_importance(forest: Forest, target: int = 0) -> ImportanceReport:
+    """Average per-tree MSE reductions per feature over the trees of one
+    target, normalized to sum to one.
 
     A feature's per-tree score is the sum over its split nodes of the node's
     sample-fraction-weighted MSE reduction; the forest score is the mean over
     trees. All-zero scores (constant target) are left unnormalized.
     """
+    t = forest.params.num_trees
+    if not 0 <= target < len(forest.trees) // t:
+        raise IndexError(f"the forest has no target {target}")
     totals = {name: 0.0 for name in FEATURES}
-    for tree in forest.trees:
+    for tree in forest.trees[target * t : (target + 1) * t]:
         per_tree: dict[str, float] = {}
         _accumulate_tree_importance(tree, per_tree)
         for name, value in per_tree.items():
             totals[name] += value
-    t = len(forest.trees)
     scores = {name: value / t for name, value in totals.items()}
     total = sum(scores.values())
     if total > 0.0:
@@ -309,18 +384,20 @@ def feature_importance(forest: Forest) -> ImportanceReport:
 
 def rank_features_for_attack(
     table: FlowTable,
-    attack: AttackLabel,
+    attacks: Sequence[AttackLabel],
     params: ForestParams = ForestParams(),
     seed: int = 0,
-) -> ImportanceReport:
-    """One-vs-rest feature ranking: regress the indicator of `attack` on all features."""
-    y = table.has_label(attack).astype(np.float64)
-    if not y.any():
-        raise ValueError(f"no records labeled {attack.render()}")
-    if y.all():
-        raise ValueError(f"no records labeled other than {attack.render()}")
+) -> dict[AttackLabel, ImportanceReport]:
+    """One-vs-rest feature rankings: regress each attack's indicator on all
+    features, every attack in one forest fit."""
+    y = np.array([table.has_label(attack) for attack in attacks], dtype=np.float64)
+    for attack, row in zip(attacks, y):
+        if not row.any():
+            raise ValueError(f"no records labeled {attack.render()}")
+        if row.all():
+            raise ValueError(f"no records labeled other than {attack.render()}")
     forest = fit_forest(table, y, params=params, seed=seed)
-    return feature_importance(forest)
+    return {attack: feature_importance(forest, i) for i, attack in enumerate(attacks)}
 
 
 def write_report(report: ImportanceReport, json_path: str | Path, csv_path: str | Path) -> None:

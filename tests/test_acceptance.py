@@ -144,7 +144,7 @@ def test_04_importance_recovery():
                         label=ICMP if positive else UDP,
                     )
                 )
-            report = rank_features_for_attack(table_of(records), ICMP, ForestParams(), seed=seed)
+            report = rank_features_for_attack(table_of(records), [ICMP], ForestParams(), seed=seed)[ICMP]
             assert report.ranking[0] == "Header Length", f"seed {seed}: {report.ranking[:3]}"
             assert report.scores["Header Length"] >= 0.9
 
@@ -199,9 +199,8 @@ def test_05_ranking_recovery_desk_scale():
         spec = default_spec(n_per_attack=500, jitter=0.3, seed=7)
         records, _ = generate_dataset(spec)
 
-        icmp_report = rank_features_for_attack(records, ICMP, ForestParams(), seed=7)
-        udp_report = rank_features_for_attack(records, UDP, ForestParams(), seed=7)
-        tcp_report = rank_features_for_attack(records, TCP, ForestParams(), seed=7)
+        reports = rank_features_for_attack(records, [ICMP, UDP, TCP], ForestParams(), seed=7)
+        icmp_report, udp_report, tcp_report = reports[ICMP], reports[UDP], reports[TCP]
 
         icmp_top3 = _positive_top3(icmp_report)
         udp_top3 = _positive_top3(udp_report)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import collections
 import importlib
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,12 @@ def test_traced_cli_runs_reach_every_traced_call(tmp_path, traced):
     assert wrapped <= spans, sorted(wrapped - spans)
     rank = traced.layer_metrics(runs["rank"], None)
     assert (rank["ingest.rows"], rank["ingest.rows_skipped"], rank["forest.trees"]) == (80, 0, 8)
+    # The one forest of all attacks has the trees of the per-attack fits.
+    table, _ = load_dataset(csv_path)
+    stats = [traced.tree_stats(tree) for attack in ATTACK_LABELS if table.has_label(attack).any()
+             for tree in fit_forest(table, table.has_label(attack), ForestParams(num_trees=2), seed=4).trees]
+    assert rank["forest.splits_per_tree"] == statistics.fmean(splits for splits, _ in stats)
+    assert rank["forest.max_depth_reached"] == max(depth for _, depth in stats)
     evaluated = traced.layer_metrics(runs["eval"], None)
     assert evaluated["synth.flows"] == 80 and evaluated["forest.trees"] == 8
     # evaluate makes one classify call per sampled row and KB configuration.

@@ -17,10 +17,10 @@ from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.cli import (
     OVERRIDES, BackendSection, DataSection, RunConfig, SynthSection, artifact_dir, build_parser, load, main,
 )
-from kbforge.flow_data import AttackLabel, stratified_sample
+from kbforge.flow_data import AttackLabel, stratified_sample, write_dataset
 from kbforge.profile import profiles_to_json
 from kbforge.prompting import record_digest
-from kbforge.synth_traffic import generate_dataset
+from kbforge.synth_traffic import default_spec, generate_dataset
 
 from conftest import make_record
 
@@ -518,6 +518,50 @@ class TestPipelines:
         assert report["error"]["kind"] == "DetectorError"
         assert report["error"]["message"].startswith(f"{store}:3: ")
         assert problem in report["error"]["message"]
+
+
+class TestSkippedRows:
+    @pytest.fixture
+    def csvs(self, tmp_path) -> tuple[Path, Path]:
+        """A clean CSV of 80 flows, and the same CSV with one short row and one
+        row holding a non-numeric feature cell inserted."""
+        table, _ = generate_dataset(default_spec(n_per_attack=20, jitter=0.3, seed=3))
+        clean = tmp_path / "clean.csv"
+        write_dataset(table, clean)
+        header, *rows = clean.read_text(encoding="utf-8").splitlines()
+        short = ",".join(rows[0].split(",")[:-3])
+        non_numeric = ",".join(["abc", *rows[1].split(",")[1:]])
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("\n".join([header, rows[0], short, rows[1], non_numeric, *rows[2:]]) + "\n",
+                         encoding="utf-8")
+        return clean, dirty
+
+    @staticmethod
+    def skipped_reports(err: str) -> list[dict]:
+        lines = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        return [line["warning"] for line in lines if "warning" in line]
+
+    def test_rank_reports_skipped_rows_and_writes_the_clean_artifacts(self, tmp_path, capsys, csvs):
+        trees, reports = [], []
+        for path in csvs:
+            out = tmp_path / path.stem
+            assert run_cli("rank", "--dataset", str(path), "--seed", "3", "--out", str(out)) == 0
+            trees.append(read_tree(artifact_root(out) / "rank"))
+            reports.append(self.skipped_reports(capsys.readouterr().err))
+        assert reports == [[], [{"kind": "rows_skipped", "file": str(csvs[1]), "rows_kept": 80, "rows_skipped": 2}]]
+        assert len(trees[0]) == 8 and trees[0] == trees[1]
+
+    def test_detect_input_reports_skipped_rows(self, tmp_path, capsys, csvs):
+        results, reports = [], []
+        for path in csvs:
+            out = tmp_path / path.stem
+            assert run_cli("detect", "--input", str(path), "--backend", "rule-oracle", "--kb-source", "canonical",
+                           "--out", str(out)) == 0
+            reports.append(self.skipped_reports(capsys.readouterr().err))
+            lines = (artifact_root(out) / "detect" / "results.jsonl").read_text(encoding="utf-8").splitlines()
+            results.append([{k: v for k, v in json.loads(line).items() if k != "latency_ms"} for line in lines])
+        assert reports == [[], [{"kind": "rows_skipped", "file": str(csvs[1]), "rows_kept": 80, "rows_skipped": 2}]]
+        assert len(results[0]) == 80 and results[0] == results[1]
 
 
 class TestEnvAndLock:

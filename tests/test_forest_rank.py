@@ -206,6 +206,22 @@ def forest_cases(draw):
     return records, targets, params, draw(st.integers(0, 2**16))
 
 
+@st.composite
+def stacked_cases(draw):
+    """A forest case with k = 1..4 indicator targets stacked as (k, n): either
+    one-vs-rest rows (each record in at most one class) or arbitrary 0/1 rows
+    that may overlap."""
+    records, _, params, seed = draw(forest_cases())
+    n, k = len(records), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        classes = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))  # k is "the rest"
+        targets = [[float(c == i) for c in classes] for i in range(k)]
+    else:
+        indicator = st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)
+        targets = draw(st.lists(indicator, min_size=k, max_size=k))
+    return records, targets, params, seed
+
+
 class TestAgainstPerFeatureSearch:
     @settings(max_examples=150, deadline=None)
     @given(case=forest_cases(), chunk=st.sampled_from([1, 7, 64, forest_rank.CHUNK_ELEMENTS]))
@@ -219,6 +235,31 @@ class TestAgainstPerFeatureSearch:
             return
         with mock.patch.object(forest_rank, "CHUNK_ELEMENTS", chunk):
             assert fit_forest(records, targets, params, seed) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=stacked_cases(),
+        chunk=st.sampled_from([1, 7, 64, forest_rank.CHUNK_ELEMENTS]),
+        # In 6 bits a word holds one to three fields of n <= 60 draws, so
+        # most cases pack the root, and some a subtree, into several words.
+        word_bits=st.sampled_from([6, forest_rank._WORD_BITS]),
+    )
+    def test_stacked_targets_equal_per_target_fits(self, case, chunk, word_bits):
+        records, targets, params, seed = case
+        try:
+            expected = [reference_fit_forest(records, row, params, seed) for row in targets]
+        except ValueError:
+            with pytest.raises(ValueError, match="distinct"):
+                fit_forest(records, targets, params, seed)
+            return
+        with mock.patch.object(forest_rank, "CHUNK_ELEMENTS", chunk), \
+                mock.patch.object(forest_rank, "_WORD_BITS", word_bits):
+            forest = fit_forest(records, np.array(targets), params, seed)
+            singles = [fit_forest(records, row, params, seed) for row in targets]
+        assert forest.trees == tuple(tree for single in singles for tree in single.trees)
+        assert forest.trees == tuple(tree for reference in expected for tree in reference.trees)
+        for i, single in enumerate(singles):
+            assert feature_importance(forest, i) == feature_importance(single)
 
     @pytest.fixture(scope="class")
     def deep_case(self):
@@ -237,6 +278,19 @@ class TestAgainstPerFeatureSearch:
             forest = fit_forest(records, targets, params, seed=5)
         assert forest == expected
         assert feature_importance(forest).to_json() == feature_importance(expected).to_json()
+
+    @pytest.fixture(scope="class")
+    def deep_four_case(self, deep_case):
+        records, _, params, _ = deep_case
+        classes = np.random.Generator(np.random.PCG64(4)).integers(0, 4, size=len(records))
+        targets = np.array([classes == i for i in range(4)], dtype=np.float64)  # one-vs-rest noise
+        return records, targets, params, [reference_fit_forest(records, row, params, seed=5) for row in targets]
+
+    def test_deep_noise_four_targets_equal_reference(self, deep_four_case):
+        records, targets, params, expected = deep_four_case
+        assert all(count_splits(tree) >= 30 for reference in expected for tree in reference.trees)
+        forest = fit_forest(records, targets, params, seed=5)
+        assert forest.trees == tuple(tree for reference in expected for tree in reference.trees)
 
     @pytest.mark.parametrize("bootstrap", [False, True])
     def test_midpoint_rounding_onto_the_upper_value(self, bootstrap):
@@ -373,6 +427,15 @@ class TestImportance:
         report = feature_importance(forest)
         assert report.scores["CWR Flag Number"] == 0.0  # constant 0 across records
 
+    def test_reads_the_trees_of_one_target(self):
+        records, targets = two_class_records(40, seed=3)
+        params = ForestParams(num_trees=4, max_depth=3)
+        forest = fit_forest(records, [[1.0 - v for v in targets], targets], params, seed=1)
+        assert len(forest.trees) == 8
+        assert feature_importance(forest, 1) == feature_importance(fit_forest(records, targets, params, seed=1))
+        with pytest.raises(IndexError):
+            feature_importance(forest, 2)
+
     def test_depth_one_single_admissible_split_importance_one(self):
         records = table_of([make_record(None, IAT=float(v)) for v in (1, 2, 3, 4)])
         targets = [0.0, 0.0, 1.0, 1.0]
@@ -390,14 +453,14 @@ class TestRankForAttack:
     def test_requires_both_classes(self):
         records = table_of([make_record(AttackLabel.ICMP_FLOOD, Min=float(i)) for i in range(4)])
         with pytest.raises(ValueError, match="other than"):
-            rank_features_for_attack(records, AttackLabel.ICMP_FLOOD)
+            rank_features_for_attack(records, [AttackLabel.ICMP_FLOOD])
         with pytest.raises(ValueError, match="labeled"):
-            rank_features_for_attack(records, AttackLabel.UDP_FLOOD)
+            rank_features_for_attack(records, [AttackLabel.UDP_FLOOD])
 
     def test_one_vs_rest_recovers_discriminator(self):
         records, _ = two_class_records(60, seed=8, informative="Tot size")
         params = ForestParams(num_trees=10, max_depth=4)
-        report = rank_features_for_attack(records, AttackLabel.ICMP_FLOOD, params, seed=2)
+        report = rank_features_for_attack(records, [AttackLabel.ICMP_FLOOD], params, seed=2)[AttackLabel.ICMP_FLOOD]
         assert report.ranking[0] == "Tot size"
 
 
@@ -437,12 +500,14 @@ def noisy_csv(tmp_path: Path, seed: int) -> Path:
     return path
 
 
-def run_rank(tmp_path: Path) -> Path:
-    """`rank` with 2 trees per attack on `noisy_csv`; they grow 23-37 splits each."""
+def run_rank(tmp_path: Path, dataset: Path | None = None) -> Path:
+    """`rank` with 2 trees per attack on `dataset`, by default `noisy_csv`; they
+    grow 23-37 splits each."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"forest": {"num_trees": 2, "min_samples_leaf": 2}}), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["rank", "--dataset", str(noisy_csv(tmp_path, RANK_SEED)), "--config", str(config),
+    dataset = dataset or noisy_csv(tmp_path, RANK_SEED)
+    assert main(["rank", "--dataset", str(dataset), "--config", str(config),
                  "--seed", str(RANK_SEED), "--out", str(out)]) == 0
     (rank_dir,) = out.glob("run-*/rank")
     return rank_dir
@@ -464,6 +529,15 @@ class TestPresort:
             rank_dir = run_rank(tmp_path)
         assert len(list(rank_dir.glob("importance_*.json"))) == 4
         assert argsort.call_count == 1
+
+    def test_four_attack_rank_fits_one_forest_and_draws_each_bootstrap_once(self, tmp_path):
+        dataset = noisy_csv(tmp_path, RANK_SEED)
+        with mock.patch.object(forest_rank, "fit_forest", wraps=forest_rank.fit_forest) as fit, \
+                mock.patch.object(np.random, "PCG64", wraps=np.random.PCG64) as pcg64:
+            rank_dir = run_rank(tmp_path, dataset)
+        assert len(list(rank_dir.glob("importance_*.json"))) == 4
+        assert fit.call_count == 1
+        assert pcg64.call_count == 2  # num_trees of run_rank's config
 
     def test_row_write_between_fits_matches_a_fresh_table(self):
         table, targets = two_class_records(40, seed=1)
