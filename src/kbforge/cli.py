@@ -230,10 +230,12 @@ def load(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+        if not path.is_file():
+            raise ConfigError(f"config file not found, or not a file: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -401,14 +403,23 @@ def _kb_input(config: RunConfig, kb_config: evaluation.KbConfig, profiles):
 
 def _read_inputs(args: argparse.Namespace, config: RunConfig) -> None:
     """Check that the --input and --grid files a run names exist, and parse
-    its --record and profiles file, before the run lock: a bad one exits 2 and
-    leaves no run directory. A parsed value replaces its text on `args`."""
+    its --record, --grid and profiles file, before the run lock: a bad one
+    exits 2 and leaves no run directory. A parsed value replaces its text on
+    `args`."""
     for flag in ("input", "grid"):
         path = getattr(args, flag, None)
         if path is not None and not Path(path).is_file():
             raise ConfigError(f"--{flag} file does not exist: {path!r}")
     if getattr(args, "record", None):
         args.record = _parse_record(args.record)
+    if getattr(args, "grid", None):
+        try:
+            grid = evaluation.EvaluationGrid.from_json(Path(args.grid).read_text(encoding="utf-8"))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad grid file {args.grid}: {type(exc).__name__}: {exc}") from None
+        if not grid.cells:
+            raise ConfigError(f"bad grid file {args.grid}: it lists no cells")
+        args.grid = grid
     args.profiles = None
     if config.profiles_path:
         try:
@@ -517,7 +528,7 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
             }
             lines.append(json.dumps(row))
             print(json.dumps(row))
-    (out / "results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "results.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return out
 
 
@@ -556,7 +567,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> Path:
 
 def cmd_select(config: RunConfig, args: argparse.Namespace) -> Path:
     if args.grid:
-        grid = evaluation.EvaluationGrid.from_json(Path(args.grid).read_text(encoding="utf-8"))
+        grid = args.grid  # parsed before the run lock
     elif args.reference:
         grid = evaluation.grid_from_reference(canonical.REFERENCE_ACCURACY)
     else:

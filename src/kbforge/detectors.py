@@ -14,7 +14,9 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .flow_data import ATTACK_LABELS, FEATURE_INDEX, LABEL_CODES, AttackLabel, FlowRecord, canonicalize_label
+from .flow_data import (
+    ATTACK_LABELS, FEATURE_INDEX, FEATURES, LABEL_CODES, LABELS, AttackLabel, FlowRecord, canonicalize_label,
+)
 from .kb_builder import ConstraintKind, KnowledgeBase, StructuredKb
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
@@ -64,8 +66,9 @@ class Detector(Protocol):
 # ---------------------------------------------------------------------------
 
 
-# Module globals: a global is read faster than an Enum member in the scoring loop.
-_IN_RANGE, _MANDATORY_EQUALS = ConstraintKind.IN_RANGE, ConstraintKind.MANDATORY_EQUALS
+#: Rows the rule oracle scores at once: a block bounds its rows x rules
+#: temporaries, small enough for the allocator to reuse, not page in afresh.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -94,69 +97,50 @@ class RuleOracleDetector:
         if not kb.per_attack:
             raise ValueError("structured KB is empty")
         self.config = config
-        # Plain tuples: the scoring loop unpacks them faster than NamedTuples.
-        self._rules = tuple((attack, tuple(map(tuple, rules))) for attack, rules in kb.per_attack.items())
-
-    def scores(self, record: FlowRecord) -> dict[AttackLabel, float]:
-        """Each constrained attack's score for the record."""
-        scores: dict[AttackLabel, float] = {}
-        for attack, rules in self._rules:
-            credit = 0.0
-            for feature, kind, a, b in rules:
-                value = record.features[feature]
-                if kind is _IN_RANGE:
-                    if a <= value <= b:
-                        credit += 1.0
-                elif abs(value - a) <= b:
-                    credit += 1.0
-                elif kind is _MANDATORY_EQUALS:
-                    if self.config.mandatory_strict:
-                        credit = 0.0
-                        break
-                elif abs(value - a) <= 2.0 * b:
-                    credit += 0.5  # near miss gets half credit
-            scores[attack] = credit / len(rules)
-        return scores
+        # Every rule of the KB's flood attacks, in ATTACK_LABELS order, as five
+        # bounds: a hit when lo <= value <= hi and |value - a| <= b, a near miss
+        # (half credit) when |value - a| <= near. Bounds a rule's kind does not
+        # set always pass (never, for near). `_member` marks each rule's attack:
+        # a product with it sums every attack's credits at once.
+        bounds = {
+            ConstraintKind.IN_RANGE: lambda lo, hi: (lo, hi, 0.0, np.inf, -np.inf),
+            ConstraintKind.MANDATORY_EQUALS: lambda a, b: (-np.inf, np.inf, a, b, -np.inf),
+            ConstraintKind.TYPICAL_NEAR: lambda a, b: (-np.inf, np.inf, a, b, 2.0 * b),
+        }
+        attacks = [attack for attack in ATTACK_LABELS if attack in kb.per_attack]
+        rules = [rule for attack in attacks for rule in kb.per_attack[attack]]
+        sizes = [len(kb.per_attack[attack]) for attack in attacks]
+        self._member = np.eye(len(attacks))[np.repeat(np.arange(len(attacks)), sizes)]
+        self._size = np.array(sizes, dtype=float)
+        self._codes = np.array([LABEL_CODES[attack] for attack in attacks], dtype=np.intp)
+        self._column = np.array([FEATURE_INDEX[rule.feature] for rule in rules], dtype=np.intp)
+        self._mandatory = np.array([rule.kind is ConstraintKind.MANDATORY_EQUALS for rule in rules], dtype=bool)
+        self._lo, self._hi, self._a, self._b, self._near = np.array(
+            [bounds[rule.kind](rule.a, rule.b) for rule in rules], dtype=float
+        ).reshape(-1, 5).T
 
     def classify(self, record: FlowRecord, kb=None) -> AttackLabel:
         """Classify with the KB the detector was built on; `kb` is not read."""
-        scores = self.scores(record)
-        best = max(ATTACK_LABELS, key=lambda attack: scores.get(attack, -1.0))  # first of equals
-        return best if scores.get(best, -1.0) >= self.config.min_score else AttackLabel.UNKNOWN
+        return LABELS[self.classify_table(np.array([[record.features[name] for name in FEATURES]]))[0]]
 
     def classify_table(self, X: np.ndarray) -> np.ndarray:
-        """classify's verdict for every row of a FlowTable matrix, as label
-        codes (flow_data.LABEL_CODES). Scores each rule column by column with
-        the float expressions of `scores`, so the verdicts equal classify's."""
-        strict = self.config.mandatory_strict
-        rules_of = dict(self._rules)
-        best = np.full(len(X), -1.0)  # the score of an attack the KB lacks
-        verdict = np.empty(len(X), dtype=np.intp)
-        for attack in ATTACK_LABELS:
-            if attack not in rules_of:
-                continue
-            rules = rules_of[attack]
-            credit = np.zeros(len(X))
-            held = np.ones(len(X), dtype=bool)  # every mandatory rule met
-            for feature, kind, a, b in rules:
-                value = X[:, FEATURE_INDEX[feature]]
-                if kind is _IN_RANGE:
-                    credit += (a <= value) & (value <= b)
-                    continue
-                delta = np.abs(value - a)
-                hit = delta <= b
-                credit += hit
-                if kind is _MANDATORY_EQUALS:
-                    held &= hit
-                else:
-                    credit += 0.5 * (~hit & (delta <= 2.0 * b))  # near miss gets half credit
-            score = credit / len(rules)
-            if strict:
-                score[~held] = 0.0
-            better = score > best  # strictly: the first of equal scores keeps the verdict
-            best[better] = score[better]
-            verdict[better] = LABEL_CODES[attack]
-        verdict[best < self.config.min_score] = LABEL_CODES[AttackLabel.UNKNOWN]
+        """The verdict for every row of a FlowTable matrix, as label codes
+        (flow_data.LABEL_CODES). Each block of rows takes a fixed number of
+        numpy calls, whatever the number of rules. A rule credits 0, 1/2 or 1,
+        so the matrix product sums each attack's credits exactly in any order."""
+        verdict = np.full(len(X), LABEL_CODES[AttackLabel.UNKNOWN], dtype=np.intp)
+        if not len(self._codes):  # no flood attack in the KB
+            return verdict
+        for start in range(0, len(X), _BLOCK_ROWS):
+            value = X[start:start + _BLOCK_ROWS, self._column]
+            delta = np.abs(value - self._a)
+            hit = (self._lo <= value) & (value <= self._hi) & (delta <= self._b)
+            doubled = np.add(hit, hit | (delta <= self._near), dtype=float)  # twice each rule's credit
+            score = doubled @ self._member / 2.0 / self._size
+            if self.config.mandatory_strict:
+                score[(~hit & self._mandatory).astype(float) @ self._member > 0.0] = 0.0
+            met = score.max(axis=1) >= self.config.min_score
+            verdict[start:start + _BLOCK_ROWS][met] = self._codes[score.argmax(axis=1)[met]]  # first of equals
         return verdict
 
 

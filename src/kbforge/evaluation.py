@@ -42,23 +42,20 @@ class EvaluationError(Exception):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class ConfusionMatrix:
-    counts: dict[tuple[AttackLabel, AttackLabel], int] = field(default_factory=dict)
-    total: int = 0
+    counts: np.ndarray  # (true, predicted) counts, both indexed by flow_data.LABEL_CODES
     error_count: int = 0  # transport failures excluded from total (best-effort runs)
 
-    def add(self, true: AttackLabel, predicted: AttackLabel, n: int = 1) -> None:
-        self.counts[(true, predicted)] = self.counts.get((true, predicted), 0) + n
-        self.total += n
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     def to_dict(self) -> dict:
-        rows = [
-            {"true": true.render(), "predicted": predicted.render(), "count": n}
-            for (true, predicted), n in sorted(
-                self.counts.items(), key=lambda kv: (kv[0][0].render(), kv[0][1].render())
-            )
-        ]
+        """The nonzero cells, sorted by rendered (true, predicted) names."""
+        names = [label.render() for label in LABELS]
+        cells = ((names[true], names[predicted], int(n)) for (true, predicted), n in np.ndenumerate(self.counts) if n)
+        rows = [{"true": true, "predicted": predicted, "count": n} for true, predicted, n in sorted(cells)]
         return {"total": self.total, "error_count": self.error_count, "counts": rows}
 
 
@@ -66,19 +63,13 @@ def accuracy(cm: ConfusionMatrix) -> float:
     """Fraction of exact label matches (the delta-function average)."""
     if cm.total == 0:
         raise EvaluationError("cannot compute accuracy of an empty matrix")
-    diagonal = sum(n for (true, predicted), n in cm.counts.items() if true is predicted)
-    return diagonal / cm.total
+    return int(np.trace(cm.counts)) / cm.total
 
 
 def per_class_cells(cm: ConfusionMatrix) -> dict[AttackLabel, Cell]:
     """Recall and sample count per true class; classes with no samples are omitted."""
-    totals: dict[AttackLabel, int] = {}
-    correct: dict[AttackLabel, int] = {}
-    for (true, predicted), n in cm.counts.items():
-        totals[true] = totals.get(true, 0) + n
-        if true is predicted:
-            correct[true] = correct.get(true, 0) + n
-    return {label: Cell(correct.get(label, 0) / total, total) for label, total in totals.items()}
+    totals = cm.counts.sum(axis=1).tolist()
+    return {LABELS[code]: Cell(int(cm.counts[code, code]) / n, n) for code, n in enumerate(totals) if n}
 
 
 def _classified(classify, table: FlowTable, workers: int):
@@ -156,12 +147,7 @@ def evaluate(
     else:
         true, predicted, errors = _classify_rows(backend, table, kb, strict, workers)
     n = len(LABELS)
-    tally = np.bincount(true * n + predicted, minlength=n * n)
-    cm = ConfusionMatrix(error_count=errors)
-    for cell in np.flatnonzero(tally).tolist():
-        true_code, predicted_code = divmod(cell, n)
-        cm.add(LABELS[true_code], LABELS[predicted_code], int(tally[cell]))
-    return cm
+    return ConfusionMatrix(np.bincount(true * n + predicted, minlength=n * n).reshape(n, n), errors)
 
 
 @dataclass(frozen=True)

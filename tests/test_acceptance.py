@@ -32,7 +32,7 @@ from kbforge.evaluation import (
     per_class_cells,
     select_best_kb,
 )
-from kbforge.flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord
+from kbforge.flow_data import ATTACK_LABELS, FEATURES, LABEL_CODES, LABELS, AttackLabel, FlowRecord
 from kbforge.forest_rank import ForestParams, rank_features_for_attack
 from kbforge.kb_builder import structured_kb
 from kbforge.profile import compute_profile
@@ -100,26 +100,30 @@ def test_02_profile_oracle_equivalence():
 
 def test_03_accuracy_identities():
     with _Gate("03 accuracy-identities"):
-        cm = ConfusionMatrix()
+        def empty():
+            return np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
+
+        counts = empty()
         for true, predicted in [(ICMP, ICMP), (ICMP, UDP), (ICMP, ICMP)]:
-            cm.add(true, predicted)
+            counts[LABEL_CODES[true], LABEL_CODES[predicted]] += 1
+        cm = ConfusionMatrix(counts)
         assert accuracy(cm) == pytest.approx(2 / 3, abs=0)
 
-        all_right = ConfusionMatrix()
-        all_right.add(ICMP, ICMP, 7)
+        counts = empty()
+        counts[LABEL_CODES[ICMP], LABEL_CODES[ICMP]] = 7
+        all_right = ConfusionMatrix(counts)
         assert accuracy(all_right) == 1.0
 
         rng = np.random.Generator(np.random.PCG64(7))
         labels = [*ATTACK_LABELS, AttackLabel.NORMAL, AttackLabel.UNKNOWN]
         for _ in range(100):
-            random_cm = ConfusionMatrix()
+            counts = empty()
             for true in labels:
                 for predicted in labels:
-                    random_cm.add(true, predicted, int(rng.integers(0, 50)))
+                    counts[LABEL_CODES[true], LABEL_CODES[predicted]] = rng.integers(0, 50)
+            random_cm = ConfusionMatrix(counts)
             per_class = per_class_cells(random_cm)
-            weights: dict[AttackLabel, int] = {}
-            for (true, _), n in random_cm.counts.items():
-                weights[true] = weights.get(true, 0) + n
+            weights = {LABELS[code]: n for code, n in enumerate(counts.sum(axis=1).tolist()) if n}
             assert {c: cell.n for c, cell in per_class.items()} == weights
             weighted_mean = sum(cell.accuracy * cell.n for cell in per_class.values()) / random_cm.total
             assert abs(accuracy(random_cm) - weighted_mean) < 1e-12

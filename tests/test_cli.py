@@ -109,10 +109,16 @@ class TestValidation:
         assert report["error"]["kind"] == "config"
         assert not out.exists()
 
-    def test_bad_config_json_exit_2(self, tmp_path):
+    def test_bad_config_json_exit_2(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text("{not json", encoding="utf-8")
-        assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"out": "caf\u00e9"}'.encode("latin-1"))
+        for path in (config, latin1, tmp_path):  # not JSON, not UTF-8, a directory
+            assert run_cli("synth", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            report = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+            assert report["error"]["kind"] == "config"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_backend_in_config_exit_2(self, tmp_path):
         config = tmp_path / "c.json"
@@ -159,6 +165,23 @@ class TestValidation:
         assert report["error"]["kind"] == "config"
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [("{not json", "JSONDecodeError"),
+         (json.dumps({"cells": [{"attack": "DDoS-UDP_Flood", "backend_id": "m", "accuracy": 1.0, "n": 5}]}),
+          "KeyError: 'kb_config'"),
+         ('{"cells": []}', "it lists no cells")],
+        ids=["not-json", "cell-without-kb-config", "no-cells"],
+    )
+    def test_malformed_select_grid_exit_2_before_the_run_dir(self, tmp_path, capsys, text, problem):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text, encoding="utf-8")
+        assert run_cli("select", "--grid", str(grid), "--out", str(tmp_path)) == 2
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert report["error"]["kind"] == "config"
+        assert f"bad grid file {grid}: {problem}" in report["error"]["message"]
+        assert not list(tmp_path.glob("run-*"))
 
     @pytest.mark.parametrize(
         "entry,problem",
@@ -483,6 +506,16 @@ class TestPipelines:
         assert run_cli(*argv, "--kb", "short", "--record", '{"Rate": 5000.0}') == 0
         line = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert (line["predicted"], line["kb_config"]) == ("DDoS-SYN_Flood", "short_kb")
+
+    def test_detect_on_zero_rows_writes_an_empty_results_file(self, tmp_path):
+        table, _ = generate_dataset(default_spec(n_per_attack=1, jitter=0.0, seed=1))
+        flows = tmp_path / "flows.csv"
+        write_dataset(table, flows)
+        header = flows.read_text(encoding="utf-8").splitlines()[0]
+        flows.write_text(header + "\n", encoding="utf-8")
+        assert run_cli("detect", "--input", str(flows), "--backend", "rule-oracle", "--kb-source", "canonical",
+                       "--out", str(tmp_path / "out")) == 0
+        assert (artifact_root(tmp_path / "out") / "detect" / "results.jsonl").read_bytes() == b""
 
     @pytest.mark.parametrize(
         "record",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 from email.utils import formatdate
@@ -32,10 +33,6 @@ from kbforge.prompting import record_digest
 from conftest import make_record, table_of
 
 KB = structured_kb(tuple(REFERENCE_PROFILES.values()))
-
-
-def oracle_scores(record, kb, config=RuleOracleConfig()):
-    return RuleOracleDetector(kb, config).scores(record)
 
 
 def oracle_verdict(record, kb, config=RuleOracleConfig()):
@@ -151,22 +148,33 @@ class TestRuleOracle:
         with pytest.raises(ValueError):
             oracle_verdict(icmp_flow(), StructuredKb(per_attack={}))
 
+    @staticmethod
+    def broken_icmp_flow():
+        """The ICMP flow with its mandatory protocol rule failed."""
+        features = dict(icmp_flow().features)
+        features["Protocol Type"] = 2.0
+        return make_record(AttackLabel.ICMP_FLOOD, **features)
+
     def test_mandatory_failure_zeroes_attack(self):
-        flow = icmp_flow()
-        broken = dict(flow.features)
-        broken["Protocol Type"] = 2.0  # mandatory exact-match now fails
-        flow2 = make_record(AttackLabel.ICMP_FLOOD, **broken)
-        scores = oracle_scores(flow2, KB)
-        assert scores[AttackLabel.ICMP_FLOOD] == 0.0
+        icmp_only = StructuredKb(per_attack={AttackLabel.ICMP_FLOOD: KB.per_attack[AttackLabel.ICMP_FLOOD]})
+        flow = self.broken_icmp_flow()
+        # Scored exactly 0: it meets a threshold of 0 and misses the least one above.
+        assert oracle_verdict(flow, icmp_only, RuleOracleConfig(min_score=0.0)) is AttackLabel.ICMP_FLOOD
+        above_zero = RuleOracleConfig(min_score=math.nextafter(0.0, 1.0))
+        assert oracle_verdict(flow, icmp_only, above_zero) is AttackLabel.UNKNOWN
+        assert oracle_verdict(flow, KB) is AttackLabel.UNKNOWN
 
     def test_mandatory_lenient_mode_keeps_partial_credit(self):
-        flow = icmp_flow()
-        broken = dict(flow.features)
-        broken["Protocol Type"] = 2.0
-        flow2 = make_record(AttackLabel.ICMP_FLOOD, **broken)
-        config = RuleOracleConfig(mandatory_strict=False)
-        scores = oracle_scores(flow2, KB, config)
-        assert scores[AttackLabel.ICMP_FLOOD] > 0.0
+        rules = KB.per_attack[AttackLabel.ICMP_FLOOD]
+        # Every rule but the failed one holds: the score is (n - 1) / n.
+        partial = (len(rules) - 1) / len(rules)
+        flow = self.broken_icmp_flow()
+        lenient = RuleOracleConfig(min_score=partial, mandatory_strict=False)
+        assert oracle_verdict(flow, KB, lenient) is AttackLabel.ICMP_FLOOD
+        above = RuleOracleConfig(min_score=math.nextafter(partial, 1.0), mandatory_strict=False)
+        assert oracle_verdict(flow, KB, above) is AttackLabel.UNKNOWN
+        strict = RuleOracleConfig(min_score=partial)
+        assert oracle_verdict(flow, KB, strict) is AttackLabel.UNKNOWN
 
     def test_typical_near_half_credit(self):
         kb = StructuredKb(
@@ -177,12 +185,14 @@ class TestRuleOracle:
                 )
             }
         )
-        exact = make_record(None, Rate=50.0)
-        near = make_record(None, Rate=65.0)  # within 2x tolerance
-        far = make_record(None, Rate=95.0)
-        assert oracle_scores(exact, kb)[AttackLabel.UDP_FLOOD] == 1.0
-        assert oracle_scores(near, kb)[AttackLabel.UDP_FLOOD] == 0.75
-        assert oracle_scores(far, kb)[AttackLabel.UDP_FLOOD] == 0.5
+        # 65 lies within twice the tolerance of 50, 95 beyond it. Each score is
+        # met as a threshold, and the next threshold up is missed.
+        for rate, score in ((50.0, 1.0), (65.0, 0.75), (95.0, 0.5)):
+            record = make_record(None, Rate=rate)
+            assert oracle_verdict(record, kb, RuleOracleConfig(min_score=score)) is AttackLabel.UDP_FLOOD
+            if score < 1.0:
+                above = RuleOracleConfig(min_score=math.nextafter(score, 1.0))
+                assert oracle_verdict(record, kb, above) is AttackLabel.UNKNOWN
 
     def test_determinism(self):
         flow = pshack_flow()
@@ -204,13 +214,10 @@ class TestRuleOracle:
         assert oracle_verdict(flow, KB) is AttackLabel.PSHACK_FLOOD
 
     def test_argmax_invariant_under_positive_scaling(self):
-        flow = pshack_flow()
-        scores = oracle_scores(flow, KB)
-        winner = max(scores, key=lambda a: (scores[a], -list(scores).index(a)))
-        scaled = {a: 0.25 * s for a, s in scores.items()}
-        scaled_winner = max(scaled, key=lambda a: (scaled[a], -list(scaled).index(a)))
-        assert winner is scaled_winner is AttackLabel.PSHACK_FLOOD
-
+        # min_score only gates Unknown: at every threshold the best score meets,
+        # the winner stays the same attack.
+        for min_score in (0.0, 0.25, 0.5, 0.75, 1.0):
+            assert oracle_verdict(pshack_flow(), KB, RuleOracleConfig(min_score=min_score)) is AttackLabel.PSHACK_FLOOD
 
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
     @settings(max_examples=200, deadline=None)
@@ -218,7 +225,6 @@ class TestRuleOracle:
     def test_compiled_oracle_equals_per_constraint_reference(self, strict, case):
         (record,), kb, config = case
         config = RuleOracleConfig(min_score=config.min_score, mandatory_strict=strict)
-        assert oracle_scores(record, kb, config) == reference_scores(record, kb, config)
         expected = reference_classify(record, kb, config)
         assert oracle_verdict(record, kb, config) is expected
 

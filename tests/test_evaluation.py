@@ -27,7 +27,7 @@ from kbforge.evaluation import (
     render_table,
     select_best_kb,
 )
-from kbforge.flow_data import ATTACK_LABELS, AttackLabel, FlowTable
+from kbforge.flow_data import ATTACK_LABELS, LABEL_CODES, LABELS, AttackLabel, FlowTable
 from kbforge.kb_builder import structured_kb
 from kbforge.synth_traffic import default_spec, generate_dataset
 
@@ -51,10 +51,14 @@ class PerRow:
 
 
 def cm_of(*pairs):
-    cm = ConfusionMatrix()
+    counts = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     for true, predicted in pairs:
-        cm.add(true, predicted)
-    return cm
+        counts[LABEL_CODES[true], LABEL_CODES[predicted]] += 1
+    return ConfusionMatrix(counts)
+
+
+def off_diagonal(cm):
+    return cm.counts * (1 - np.eye(len(LABELS), dtype=np.int64))
 
 
 class TestAccuracy:
@@ -74,7 +78,7 @@ class TestAccuracy:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(EvaluationError):
-            accuracy(ConfusionMatrix())
+            accuracy(cm_of())
 
     def test_accuracy_one_iff_diagonal(self):
         diag = cm_of((ICMP, ICMP), (UDP, UDP))
@@ -102,17 +106,38 @@ class TestPerClassAccuracy:
         rng = np.random.Generator(np.random.PCG64(0))
         labels = [*ATTACK_LABELS, AttackLabel.NORMAL, AttackLabel.UNKNOWN]
         for _ in range(100):
-            cm = ConfusionMatrix()
+            counts = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
             for true in labels:
                 for predicted in labels:
-                    cm.add(true, predicted, int(rng.integers(0, 40)))
+                    counts[LABEL_CODES[true], LABEL_CODES[predicted]] = rng.integers(0, 40)
+            cm = ConfusionMatrix(counts)
             per_class = per_class_cells(cm)
-            weights = {}
-            for (true, _), n in cm.counts.items():
-                weights[true] = weights.get(true, 0) + n
+            weights = {LABELS[code]: n for code, n in enumerate(counts.sum(axis=1).tolist()) if n}
             assert {c: cell.n for c, cell in per_class.items()} == weights
             weighted = sum(cell.accuracy * cell.n for cell in per_class.values()) / cm.total
             assert abs(accuracy(cm) - weighted) < 1e-12
+
+
+class TestConfusionJson:
+    def test_every_cell_serialises_in_rendered_name_order(self):
+        counts = np.arange(1, len(LABELS) ** 2 + 1).reshape(len(LABELS), len(LABELS))
+        payload = ConfusionMatrix(counts, error_count=3).to_dict()
+        code_of = {label.render(): LABEL_CODES[label] for label in LABELS}
+        names = [(row["true"], row["predicted"]) for row in payload["counts"]]
+        assert names == sorted((true.render(), predicted.render()) for true in LABELS for predicted in LABELS)
+        assert [row["count"] for row in payload["counts"]] == [counts[code_of[t], code_of[p]] for t, p in names]
+        assert (payload["total"], payload["error_count"]) == (counts.sum(), 3)
+
+    def test_zero_cells_are_left_out(self):
+        payload = cm_of((ICMP, ICMP), (ICMP, UDP), (ICMP, ICMP)).to_dict()
+        assert payload == {
+            "total": 3,
+            "error_count": 0,
+            "counts": [
+                {"true": "DDoS-ICMP_Flood", "predicted": "DDoS-ICMP_Flood", "count": 2},
+                {"true": "DDoS-ICMP_Flood", "predicted": "DDoS-UDP_Flood", "count": 1},
+            ],
+        }
 
 
 class TestEvaluate:
@@ -121,7 +146,7 @@ class TestEvaluate:
         backend = RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values())))
         cm = evaluate(backend, records)
         assert accuracy(cm) == 1.0
-        assert all(true is predicted for (true, predicted) in cm.counts)
+        assert not off_diagonal(cm).any()
 
     def test_all_normal_responses_zero_diagonal(self):
         class AlwaysNormal:
@@ -182,7 +207,7 @@ class TestEvaluate:
         backend = PerRow(RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values()))))
         sequential = evaluate(backend, records, workers=1)
         threaded = evaluate(backend, records, workers=4)
-        assert sequential.counts == threaded.counts
+        assert np.array_equal(sequential.counts, threaded.counts)
 
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
     def test_table_path_equals_per_row_path(self, strict):
@@ -195,7 +220,7 @@ class TestEvaluate:
         )
         cm = evaluate(oracle, records)
         assert cm.to_dict() == evaluate(PerRow(oracle), records).to_dict()
-        assert len({true for true, predicted in cm.counts if true is not predicted}) > 1
+        assert np.count_nonzero(off_diagonal(cm).sum(axis=1)) > 1  # several true classes misread
 
 
 class TestGrid:
