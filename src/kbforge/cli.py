@@ -395,21 +395,27 @@ def _kb_input(config: RunConfig, kb_config: evaluation.KbConfig, profiles):
         return None
     if config.backend.kind == "llm":
         return _text_kb(config, kb_config, profiles)
-    store_path = Path(config.backend.replay.store_dir) / f"{kb_config.value}.jsonl"
-    if not store_path.exists():
-        raise RuntimeError(f"replay store not found: {store_path}")
-    return detectors.load_replay_store(store_path)
+    return detectors.load_replay_store(_store_path(config, kb_config))
+
+
+def _store_path(config: RunConfig, kb_config: evaluation.KbConfig) -> Path:
+    return Path(config.backend.replay.store_dir) / f"{kb_config.value}.jsonl"
 
 
 def _read_inputs(args: argparse.Namespace, config: RunConfig) -> None:
-    """Check that the --input and --grid files a run names exist, and parse
-    its --record, --grid and profiles file, before the run lock: a bad one
-    exits 2 and leaves no run directory. A parsed value replaces its text on
-    `args`."""
+    """Check that the --input and --grid files and the replay stores a run
+    names exist, and parse its --record, --grid and profiles file, before the
+    run lock: a bad one exits 2 and leaves no run directory. A parsed value
+    replaces its text on `args`."""
     for flag in ("input", "grid"):
         path = getattr(args, flag, None)
         if path is not None and not Path(path).is_file():
             raise ConfigError(f"--{flag} file does not exist: {path!r}")
+    if config.backend.kind == "replay" and args.command in ("detect", "eval"):
+        kb_configs = config.eval.kb_configs if args.command == "eval" else KB_VARIANTS[config.kb.variant][:1]
+        for path in (_store_path(config, kb_config) for kb_config in kb_configs):
+            if not path.is_file():
+                raise ConfigError(f"replay store not found: {path}")
     if getattr(args, "record", None):
         args.record = _parse_record(args.record)
     if getattr(args, "grid", None):
@@ -474,15 +480,14 @@ def cmd_profile(config: RunConfig, args: argparse.Namespace) -> Path:
 def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> Path:
     out = artifact_dir(config) / "kb"
     profiles = _resolve_profiles(config, args.profiles)
-    for kb_config in KB_VARIANTS[config.kb.variant]:
-        kb = _text_kb(config, kb_config, profiles)
+    # Every form first, so a KB that cannot be built fails before any file is written.
+    kbs = [_text_kb(config, kb_config, profiles) for kb_config in KB_VARIANTS[config.kb.variant]]
+    structured = kb_builder.structured_kb_to_json(kb_builder.structured_kb(profiles))
+    for kb in kbs:
         if kb is not None:
             kb_builder.write_kb(kb, out)
-    structured = kb_builder.structured_kb(profiles)
-    (out / "structured.json").parent.mkdir(parents=True, exist_ok=True)
-    (out / "structured.json").write_text(
-        kb_builder.structured_kb_to_json(structured), encoding="utf-8"
-    )
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "structured.json").write_text(structured, encoding="utf-8")
     return out
 
 
@@ -535,10 +540,13 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> Path:
     table = _load_table(config)
     sample = flow_data.stratified_sample(table, n_per_class=config.eval.n_per_class, seed=config.seed)
+    if len(sample) == 0:
+        source = config.data.dataset.path if config.data.dataset else "the synthetic dataset"
+        raise RuntimeError(f"no records to evaluate in {source}")
     profiles = _resolve_profiles(config, args.profiles, table)
-    # Every KB configuration's input and the detector first, so a missing
-    # replay store or a detector that cannot be built fails before any
-    # artifact is written.
+    # Every KB configuration's input and the detector first, so a store
+    # that cannot be read or a detector that cannot be built fails before
+    # any artifact is written.
     kb_configs = config.eval.kb_configs
     kb_inputs = [_kb_input(config, kb_config, profiles) for kb_config in kb_configs]
     grid = evaluation.EvaluationGrid()

@@ -3,10 +3,8 @@ attack-by-KB-configuration grid, and best-KB selection."""
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import itertools
 import json
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -19,7 +17,6 @@ from .flow_data import (
     LABEL_CODES,
     LABELS,
     AttackLabel,
-    FlowRecord,
     FlowTable,
     canonicalize_label,
 )
@@ -72,55 +69,50 @@ def per_class_cells(cm: ConfusionMatrix) -> dict[AttackLabel, Cell]:
     return {LABELS[code]: Cell(int(cm.counts[code, code]) / n, n) for code, n in enumerate(totals) if n}
 
 
-def _classified(classify, table: FlowTable, workers: int):
-    """One zero-argument call per record that returns classify(record) or
-    raises what it raised. workers <= 1 classifies inline, in record order;
-    more classify on a pool, in completion order, with at most 2 x workers
-    records submitted ahead of the tally, so a strict run stops classifying
-    soon after its first transport error. Closing the generator cancels the
-    records still queued."""
-    if workers <= 1:
-        yield from (functools.partial(classify, record) for record in table)
-        return
-    # Imported here: only a threaded run needs the pool.
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    queue = iter(table)
-    pool = ThreadPoolExecutor(max_workers=workers)
-
-    def submit(n: int) -> set:
-        return {pool.submit(classify, record) for record in itertools.islice(queue, n)}
-
-    try:
-        pending = submit(2 * workers)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield future.result
-            pending |= submit(2 * workers - len(pending))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _classify_rows(backend: Detector, table: FlowTable, kb, strict: bool, workers: int):
     """(true codes, predicted codes) of the records classified, and the number
-    of records whose transport failed in a best-effort run."""
+    of records whose transport failed in a best-effort run.
 
-    def one(record: FlowRecord) -> tuple[int, int]:
-        return LABEL_CODES[record.label], LABEL_CODES[backend.classify(record, kb)]
-
+    `workers` threads, the caller's among them, take records from one
+    iterator and record each outcome under one lock; with one worker no
+    thread starts and the caller classifies the records in order. The first
+    exception the run does not count stops every thread from taking another
+    record, and is raised once all threads have joined."""
+    records = iter(table)
+    lock = threading.Lock()
     pairs: list[tuple[int, int]] = []
-    errors = 0
-    with contextlib.closing(_classified(one, table, workers)) as outcomes:
-        for outcome in outcomes:
-            try:
-                pairs.append(outcome())
-            except TransportError:
-                if strict:
-                    raise
-                errors += 1
+    failures: list[BaseException] = []
+
+    def work(helpers: list[threading.Thread]) -> None:
+        try:
+            for thread in helpers:
+                thread.start()
+            while True:
+                with lock:
+                    record = None if failures else next(records, None)
+                if record is None:
+                    return
+                try:
+                    predicted = backend.classify(record, kb)
+                except TransportError:
+                    if strict:
+                        raise
+                    continue  # a best-effort run counts it: every record not in pairs
+                with lock:
+                    pairs.append((LABEL_CODES[record.label], LABEL_CODES[predicted]))
+        except BaseException as exc:  # KeyboardInterrupt too: raised below, after the joins
+            with lock:
+                failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=([],)) for _ in range(workers - 1)]
+    work(threads)  # the caller classifies too, once it has started the others
+    for thread in threads:
+        if thread.is_alive():  # a thread that failed to start has nothing to join
+            thread.join()
+    if failures:
+        raise failures[0]
     true, predicted = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return true, predicted, errors
+    return true, predicted, len(table) - len(pairs)
 
 
 def evaluate(

@@ -17,7 +17,7 @@ from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.cli import (
     OVERRIDES, BackendSection, DataSection, RunConfig, SynthSection, artifact_dir, build_parser, load, main,
 )
-from kbforge.flow_data import AttackLabel, stratified_sample, write_dataset
+from kbforge.flow_data import LABEL_CODES, AttackLabel, stratified_sample, write_dataset
 from kbforge.profile import profiles_to_json
 from kbforge.prompting import record_digest
 from kbforge.synth_traffic import default_spec, generate_dataset
@@ -99,6 +99,19 @@ class TestKbBuild:
         assert (kb_dir / "short" / "combined.txt").exists()
         assert (kb_dir / "structured.json").exists()
 
+    def test_kb_that_cannot_be_built_fails_before_any_kb_file(self, tmp_path, capsys):
+        # One flood class profiles one attack, and the short KB needs two to compare.
+        table, _ = generate_dataset(default_spec(n_per_attack=20, jitter=0.3, seed=1))
+        unknown = table.codes != LABEL_CODES[AttackLabel.ICMP_FLOOD]
+        table.codes[unknown] = LABEL_CODES[AttackLabel.UNKNOWN]
+        dataset = tmp_path / "one_flood.csv"
+        write_dataset(table, dataset)
+        out = tmp_path / "out"
+        assert run_cli("kb", "build", "--generated", "--dataset", str(dataset), "--out", str(out)) == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"]["message"] == "need at least two profiles to compare"
+        assert not (artifact_root(out) / "kb").exists()
+
 
 class TestValidation:
     def test_missing_dataset_path_exit_2_no_artifacts(self, tmp_path, capsys):
@@ -145,11 +158,14 @@ class TestValidation:
             ({"eval": {"kb_configs": ["no_kb", "no_kb"]}}, ("eval",)),
             (None, ("synth", "--profiles", "empty.json")),
             (None, ("eval", "--profiles", "empty.json")),
+            (None, ("eval", "--backend", "replay")),
+            ({"kb": {"variant": "short"}}, ("detect", "--backend", "replay")),
         ],
         ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
              "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset",
              "no-kb-configs", "base-url-no-scheme", "detect-input-missing", "select-grid-missing",
-             "workers-neg", "kb-configs-repeated", "synth-profiles-empty", "eval-profiles-empty"],
+             "workers-neg", "kb-configs-repeated", "synth-profiles-empty", "eval-profiles-empty",
+             "eval-replay-store-missing", "detect-replay-store-missing"],
     )
     def test_invalid_config_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, file_config, argv):
         monkeypatch.chdir(tmp_path)
@@ -416,11 +432,21 @@ class TestPipelines:
         argv, _ = self._replay_eval(tmp_path)
         missing = tmp_path / "stores" / "short_kb.jsonl"
         missing.unlink()
-        assert run_cli(*argv) == 1
+        assert run_cli(*argv) == 2
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert report["error"]["kind"] == "RuntimeError"
-        assert str(missing) in report["error"]["message"]
-        assert not (artifact_root(tmp_path / "out") / "eval").exists()
+        assert report["error"] == {"kind": "config", "message": f"replay store not found: {missing}"}
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_on_a_dataset_without_records_fails_before_any_eval_artifact(self, tmp_path, capsys):
+        dataset = tmp_path / "header_only.csv"
+        table, _ = generate_dataset(default_spec(n_per_attack=1, jitter=0.0, seed=1))
+        write_dataset(table, dataset)
+        dataset.write_text(dataset.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("eval", "--dataset", str(dataset), "--kb-source", "canonical", "--out", str(out)) == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == {"kind": "RuntimeError", "message": f"no records to evaluate in {dataset}"}
+        assert not (artifact_root(out) / "eval").exists()
 
     def test_eval_rule_oracle_jitter_zero_all_cells_100(self, tmp_path, capsys):
         assert run_cli("eval", "--backend", "rule-oracle", "--synth",

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import collections
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from kbforge.detectors import (
     EndpointStatusError,
     LlmDetector,
     LlmEndpointConfig,
+    ReplayMissError,
     RuleOracleConfig,
     RuleOracleDetector,
     TransportError,
@@ -200,7 +205,70 @@ class TestEvaluate:
         records = table_of([make_record(AttackLabel.UDP_FLOOD) for _ in range(100)])
         with pytest.raises(EndpointStatusError):
             evaluate(detector, records, strict=True, workers=workers)
-        assert len(stub_server.requests) <= 2 * workers
+        assert len(stub_server.requests) <= workers
+
+    @pytest.mark.parametrize("error", [ReplayMissError("no such digest"), KeyboardInterrupt()],
+                             ids=["replay-miss", "interrupt"])
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "best-effort"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_uncounted_error_on_any_thread_stops_the_run_and_reaches_the_caller(self, error, strict, workers):
+        class Failing:
+            backend_id = "failing"
+
+            def __init__(self):
+                self.calls = itertools.count(1)
+
+            def classify(self, record, kb=None):
+                if next(self.calls) > 1:
+                    time.sleep(0.05)  # still classifying when the first call fails
+                    return record.label
+                raise error
+
+        backend = Failing()
+        records, _ = generate_dataset(default_spec(n_per_attack=5, jitter=0.0, seed=3))
+        with pytest.raises(type(error)):
+            evaluate(backend, records, strict=strict, workers=workers)
+        assert next(backend.calls) - 1 <= workers  # no thread takes a record after the failure
+
+    def test_many_threads_on_few_cores_classify_every_record_exactly_once(self):
+        oracle = RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values())))
+
+        class Recording:
+            """The oracle's per-row verdicts, noting every record it is handed."""
+
+            backend_id = "recording"
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.seen = collections.Counter()
+
+            def classify(self, record, kb=None):
+                with self.lock:
+                    self.seen[tuple(record.features.values())] += 1
+                return oracle.classify(record, kb)
+
+        records, _ = generate_dataset(default_spec(n_per_attack=150, jitter=0.3, seed=6))
+        every_record_once = collections.Counter(tuple(record.features.values()) for record in records)
+        expected = evaluate(PerRow(oracle), records, workers=1).counts
+        runs = []
+
+        def run_repeatedly():  # a lost update shows in some runs, not in every one
+            for _ in range(10):
+                backend = Recording()
+                runs.append((backend.seen, evaluate(backend, records, workers=8).counts))
+
+        runner = threading.Thread(target=run_repeatedly, daemon=True)  # a hung run cannot hold up exit
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(runs) == 10
+        for seen, counts in runs:
+            assert seen == every_record_once
+            assert np.array_equal(counts, expected)
 
     def test_worker_count_does_not_change_counts(self):
         records, _ = generate_dataset(default_spec(n_per_attack=20, jitter=0.3, seed=4))
