@@ -8,6 +8,11 @@ type its value must have and its section's __post_init__ checks its range, so
 a bad config exits before any data is loaded. Artifacts land under
 <out>/run-<config digest>/ so a re-run with identical config and seed
 overwrites identical bytes, while a changed config gets a fresh directory.
+
+Each subcommand reads its inputs and computes every artifact, then returns
+its output directory and the calls that write them; main takes the run lock
+only around those calls, so a run that fails before its writes leaves no run
+directory.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ import contextlib
 import dataclasses
 import enum
 import fcntl
+import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 import typing
@@ -345,11 +352,22 @@ def _build_profiles(config: RunConfig, table) -> list[profile_mod.AttackProfile]
     ]
 
 
-def _resolve_profiles(config: RunConfig, given, table=None) -> list[profile_mod.AttackProfile]:
-    """The profiles file's profiles (`given`, read before the run lock), else
-    the bundled ones or ones built from the data, as kb.source says."""
-    if given is not None:
-        return given
+def _read_profiles(path: str) -> list[profile_mod.AttackProfile]:
+    """The profiles a profiles file lists; a bad or empty file is a ConfigError."""
+    try:
+        profiles = profile_mod.profiles_from_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad profiles file {path}: {exc}") from None
+    if not profiles:
+        raise ConfigError(f"profiles file {path} lists no profiles")
+    return profiles
+
+
+def _resolve_profiles(config: RunConfig, table=None) -> list[profile_mod.AttackProfile]:
+    """The profiles file's profiles, else the bundled ones or ones built from
+    the data, as kb.source says."""
+    if config.profiles_path:
+        return _read_profiles(config.profiles_path)
     if config.kb.source is kb_builder.KbSource.CANONICAL:
         return list(canonical.REFERENCE_PROFILES.values())
     if table is None:
@@ -395,46 +413,23 @@ def _kb_input(config: RunConfig, kb_config: evaluation.KbConfig, profiles):
         return None
     if config.backend.kind == "llm":
         return _text_kb(config, kb_config, profiles)
-    return detectors.load_replay_store(_store_path(config, kb_config))
+    path = Path(config.backend.replay.store_dir) / f"{kb_config.value}.jsonl"
+    if not path.is_file():
+        raise ConfigError(f"replay store not found: {path}")
+    return detectors.load_replay_store(path)
 
 
-def _store_path(config: RunConfig, kb_config: evaluation.KbConfig) -> Path:
-    return Path(config.backend.replay.store_dir) / f"{kb_config.value}.jsonl"
-
-
-def _read_inputs(args: argparse.Namespace, config: RunConfig) -> None:
-    """Check that the --input and --grid files and the replay stores a run
-    names exist, and parse its --record, --grid and profiles file, before the
-    run lock: a bad one exits 2 and leaves no run directory. A parsed value
-    replaces its text on `args`."""
-    for flag in ("input", "grid"):
-        path = getattr(args, flag, None)
-        if path is not None and not Path(path).is_file():
-            raise ConfigError(f"--{flag} file does not exist: {path!r}")
-    if config.backend.kind == "replay" and args.command in ("detect", "eval"):
-        kb_configs = config.eval.kb_configs if args.command == "eval" else KB_VARIANTS[config.kb.variant][:1]
-        for path in (_store_path(config, kb_config) for kb_config in kb_configs):
-            if not path.is_file():
-                raise ConfigError(f"replay store not found: {path}")
-    if getattr(args, "record", None):
-        args.record = _parse_record(args.record)
-    if getattr(args, "grid", None):
-        try:
-            grid = evaluation.EvaluationGrid.from_json(Path(args.grid).read_text(encoding="utf-8"))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid file {args.grid}: {type(exc).__name__}: {exc}") from None
-        if not grid.cells:
-            raise ConfigError(f"bad grid file {args.grid}: it lists no cells")
-        args.grid = grid
-    args.profiles = None
-    if config.profiles_path:
-        try:
-            text = Path(config.profiles_path).read_text(encoding="utf-8")
-            args.profiles = profile_mod.profiles_from_json(text)
-        except (OSError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad profiles file {config.profiles_path}: {exc}") from None
-        if not args.profiles:
-            raise ConfigError(f"profiles file {config.profiles_path} lists no profiles")
+def _read_grid(path: Path) -> evaluation.EvaluationGrid:
+    """The grid a grid.json file holds; a missing, malformed or empty one is a ConfigError."""
+    if not path.is_file():
+        raise ConfigError(f"no grid file at {path}; pass --grid or --reference")
+    try:
+        grid = evaluation.EvaluationGrid.from_json(path.read_text(encoding="utf-8"))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid file {path}: {type(exc).__name__}: {exc}") from None
+    if not grid.cells:
+        raise ConfigError(f"bad grid file {path}: it lists no cells")
+    return grid
 
 
 def _parse_record(text: str) -> flow_data.FlowRecord:
@@ -457,68 +452,70 @@ def _parse_record(text: str) -> flow_data.FlowRecord:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands. Each returns its output directory and the calls, made under
+# the run lock, that write its artifacts and print its result.
 # ---------------------------------------------------------------------------
 
 
-def cmd_rank(config: RunConfig, args: argparse.Namespace) -> Path:
+def _write_text(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def cmd_rank(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
     reports = _rank_all(config, _load_table(config))
     out = artifact_dir(config) / "rank"
-    for attack, report in reports.items():
-        stem = attack.render()
-        forest_rank.write_report(report, out / f"importance_{stem}.json", out / f"importance_{stem}.csv")
-    return out
+    return out, [
+        functools.partial(forest_rank.write_report, report, out / f"importance_{attack.render()}.json",
+                          out / f"importance_{attack.render()}.csv")
+        for attack, report in reports.items()
+    ]
 
 
-def cmd_profile(config: RunConfig, args: argparse.Namespace) -> Path:
+def cmd_profile(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
     profiles = _build_profiles(config, _load_table(config))
     out = artifact_dir(config) / "profile"
-    profile_mod.write_profiles(profiles, out / "profiles.json")
-    return out
+    return out, [functools.partial(profile_mod.write_profiles, profiles, out / "profiles.json")]
 
 
-def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> Path:
-    out = artifact_dir(config) / "kb"
-    profiles = _resolve_profiles(config, args.profiles)
-    # Every form first, so a KB that cannot be built fails before any file is written.
+def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    profiles = _resolve_profiles(config)
     kbs = [_text_kb(config, kb_config, profiles) for kb_config in KB_VARIANTS[config.kb.variant]]
     structured = kb_builder.structured_kb_to_json(kb_builder.structured_kb(profiles))
-    for kb in kbs:
-        if kb is not None:
-            kb_builder.write_kb(kb, out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "structured.json").write_text(structured, encoding="utf-8")
-    return out
+    out = artifact_dir(config) / "kb"
+    return out, [
+        *(functools.partial(kb_builder.write_kb, kb, out) for kb in kbs if kb is not None),
+        functools.partial(_write_text, out / "structured.json", structured),
+    ]
 
 
-def cmd_synth(config: RunConfig, args: argparse.Namespace) -> Path:
+def cmd_synth(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
     spec = config.data.synth.spec(config.seed)
-    if args.profiles is not None:
-        spec = dataclasses.replace(spec, profiles=tuple(args.profiles))
+    if config.profiles_path:
+        spec = dataclasses.replace(spec, profiles=tuple(_read_profiles(config.profiles_path)))
     table, summary = synth_traffic.generate_dataset(spec)
     out = artifact_dir(config) / "synth"
-    flow_data.write_dataset(table, out / "synth.csv")
-    (out / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    return out
+    return out, [
+        functools.partial(flow_data.write_dataset, table, out / "synth.csv"),
+        functools.partial(_write_text, out / "summary.json", json.dumps(summary.to_dict(), indent=2) + "\n"),
+    ]
 
 
-def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
+def cmd_detect(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
     if args.record:
-        records = [args.record]  # parsed before the run lock
+        records = [_parse_record(args.record)]
     elif args.input:
+        if not Path(args.input).is_file():
+            raise ConfigError(f"--input file does not exist: {args.input!r}")
         records = _read_csv(args.input, require_labels=False)
     else:
         records = _load_table(config)
-    profiles = _resolve_profiles(config, args.profiles)
+    profiles = _resolve_profiles(config)
     kb_config = KB_VARIANTS[config.kb.variant][0]
     kb = _kb_input(config, kb_config, profiles)
 
     lines = []
     with _detector(config, profiles) as detector:
-        out = artifact_dir(config) / "detect"
-        out.mkdir(parents=True, exist_ok=True)
         for record in records:
             start = time.perf_counter()  # spans every attempt and backoff wait
             predicted = detector.classify(record, kb)
@@ -533,28 +530,25 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> Path:
             }
             lines.append(json.dumps(row))
             print(json.dumps(row))
-    (out / "results.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return out
+    out = artifact_dir(config) / "detect"
+    return out, [functools.partial(_write_text, out / "results.jsonl", "".join(line + "\n" for line in lines))]
 
 
-def cmd_eval(config: RunConfig, args: argparse.Namespace) -> Path:
+def cmd_eval(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
     table = _load_table(config)
     sample = flow_data.stratified_sample(table, n_per_class=config.eval.n_per_class, seed=config.seed)
     if len(sample) == 0:
         source = config.data.dataset.path if config.data.dataset else "the synthetic dataset"
         raise RuntimeError(f"no records to evaluate in {source}")
-    profiles = _resolve_profiles(config, args.profiles, table)
-    # Every KB configuration's input and the detector first, so a store
-    # that cannot be read or a detector that cannot be built fails before
-    # any artifact is written.
+    profiles = _resolve_profiles(config, table)
     kb_configs = config.eval.kb_configs
     kb_inputs = [_kb_input(config, kb_config, profiles) for kb_config in kb_configs]
+    out = artifact_dir(config) / "eval"
     grid = evaluation.EvaluationGrid()
+    writes = []
     with _detector(config, profiles) as detector:
-        out = artifact_dir(config) / "eval"
-        confusion_dir = out / "confusion"
-        confusion_dir.mkdir(parents=True, exist_ok=True)
-        stem = detector.backend_id.replace(":", "_")
+        # A file-name stem: a model id may hold ':' or '/'.
+        stem = re.sub(r"[^A-Za-z0-9._-]", "_", detector.backend_id)
         for kb_config, kb in zip(kb_configs, kb_inputs):
             cm = evaluation.evaluate(
                 detector,
@@ -563,29 +557,19 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> Path:
                 strict=not config.eval.best_effort,
                 workers=config.eval.workers,
             )
-            (confusion_dir / f"{stem}_{kb_config.value}.json").write_text(
-                json.dumps(cm.to_dict(), indent=2) + "\n", encoding="utf-8"
-            )
+            writes.append(functools.partial(_write_text, out / "confusion" / f"{stem}_{kb_config.value}.json",
+                                            json.dumps(cm.to_dict(), indent=2) + "\n"))
             for attack, cell in evaluation.per_class_cells(cm).items():
                 grid.set(attack, kb_config, detector.backend_id, cell)
+    writes.append(lambda: print(evaluation.write_grid_artifacts(grid, out), end=""))
+    return out, writes
 
-    print(evaluation.write_grid_artifacts(grid, out), end="")
-    return out
 
-
-def cmd_select(config: RunConfig, args: argparse.Namespace) -> Path:
-    if args.grid:
-        grid = args.grid  # parsed before the run lock
-    elif args.reference:
+def cmd_select(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    if args.reference and not args.grid:
         grid = evaluation.grid_from_reference(canonical.REFERENCE_ACCURACY)
     else:
-        default = artifact_dir(config) / "eval" / "grid.json"
-        if not default.exists():
-            raise ConfigError(f"no grid found at {default}; pass --grid or --reference")
-        grid = evaluation.EvaluationGrid.from_json(default.read_text(encoding="utf-8"))
-
-    out = artifact_dir(config) / "select"
-    out.mkdir(parents=True, exist_ok=True)
+        grid = _read_grid(Path(args.grid or artifact_dir(config) / "eval" / "grid.json"))
     payload = {}
     for backend_id in grid.backends():
         best = evaluation.select_best_kb(grid, backend_id)
@@ -595,9 +579,11 @@ def cmd_select(config: RunConfig, args: argparse.Namespace) -> Path:
             )
         }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (out / "best_kb.json").write_text(text, encoding="utf-8")
-    print(text, end="")
-    return out
+    out = artifact_dir(config) / "select"
+    return out, [
+        functools.partial(_write_text, out / "best_kb.json", text),
+        functools.partial(print, text, end=""),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +657,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = load(args)
-        _read_inputs(args, config)
+        out, writes = handlers[args.command](config, args)
         with RunLock(artifact_dir(config)):
-            out = handlers[args.command](config, args)
+            for write in writes:
+                write()
         print(f"artifacts: {out}", file=sys.stderr)
         return 0
     except ConfigError as exc:

@@ -168,8 +168,7 @@ class FlowTable:
 
     Every value is checked finite once, here, so rows read back as
     FlowRecords are not checked again. Rows read, iterate and assign as
-    FlowRecords; write values through ``table[i] = record``, which drops the
-    cached ``sorted_rows``.
+    FlowRecords.
     """
 
     def __init__(self, X: np.ndarray, codes: np.ndarray):
@@ -177,7 +176,6 @@ class FlowTable:
             raise ValueError("non-finite feature value in flow table")
         self.X = X
         self.codes = codes
-        self._sorted_rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -193,15 +191,6 @@ class FlowTable:
     def __setitem__(self, i: int, record: FlowRecord) -> None:
         self.X[i] = [record.features[name] for name in FEATURES]
         self.codes[i] = -1 if record.label is None else LABEL_CODES[record.label]
-        self._sorted_rows = None
-
-    def sorted_rows(self) -> np.ndarray:
-        """Row indices sorted by each registry column, stably: row j of the
-        result lists the flows by (X[:, j], index). Computed on first use and
-        kept as int32, half the memory of numpy's index type."""
-        if self._sorted_rows is None:
-            self._sorted_rows = np.argsort(self.X.T, axis=1, kind="stable").astype(np.int32)
-        return self._sorted_rows
 
     def take(self, rows: np.ndarray) -> FlowTable:
         return FlowTable(self.X[rows], self.codes[rows])

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import kbforge
+from kbforge import evaluation, forest_rank, kb_builder, prompting, synth_traffic
+from kbforge import profile as profile_mod
 from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.cli import (
     OVERRIDES, BackendSection, DataSection, RunConfig, SynthSection, artifact_dir, build_parser, load, main,
@@ -110,7 +112,7 @@ class TestKbBuild:
         assert run_cli("kb", "build", "--generated", "--dataset", str(dataset), "--out", str(out)) == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"]["message"] == "need at least two profiles to compare"
-        assert not (artifact_root(out) / "kb").exists()
+        assert not out.exists()
 
 
 class TestValidation:
@@ -160,12 +162,13 @@ class TestValidation:
             (None, ("eval", "--profiles", "empty.json")),
             (None, ("eval", "--backend", "replay")),
             ({"kb": {"variant": "short"}}, ("detect", "--backend", "replay")),
+            (None, ("select",)),
         ],
         ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
              "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset",
              "no-kb-configs", "base-url-no-scheme", "detect-input-missing", "select-grid-missing",
              "workers-neg", "kb-configs-repeated", "synth-profiles-empty", "eval-profiles-empty",
-             "eval-replay-store-missing", "detect-replay-store-missing"],
+             "eval-replay-store-missing", "detect-replay-store-missing", "select-no-grid"],
     )
     def test_invalid_config_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, file_config, argv):
         monkeypatch.chdir(tmp_path)
@@ -220,6 +223,62 @@ class TestValidation:
         assert report["error"]["kind"] == "config"
         assert f"{profiles}: entry 1: " in report["error"]["message"]
         assert problem in report["error"]["message"]
+        assert not out.exists()
+
+
+class TestNoRunDirBeforeTheWrites:
+    """A run computes every artifact before it takes the run lock to write
+    them, so a failure before the writes leaves no <out> directory."""
+
+    @pytest.mark.parametrize(
+        "argv,module,name",
+        [
+            (("rank", "--synth"), forest_rank, "rank_features_for_attack"),
+            (("profile", "--synth"), profile_mod, "build_attack_profile"),
+            (("kb", "build", "--generated", "--synth"), kb_builder, "structured_kb_to_json"),
+            (("synth",), synth_traffic, "generate_dataset"),
+            (("detect", "--record", '{"Rate": 5000.0}'), prompting, "record_digest"),
+            (("eval", "--synth", "--n-per-class", "5"), evaluation, "per_class_cells"),
+            (("select", "--reference"), evaluation, "select_best_kb"),
+        ],
+        ids=["rank", "profile", "kb-build", "synth", "detect", "eval", "select"],
+    )
+    def test_a_late_runtime_failure_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys, argv, module, name):
+        def fail(*args, **kwargs):
+            raise RuntimeError("late failure")
+
+        monkeypatch.setattr(module, name, fail)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"forest": {"num_trees": 2}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--n-per-attack", "20", "--config", str(config), "--out", str(out)) == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == {"kind": "RuntimeError", "message": "late failure"}
+        assert not out.exists()
+
+    def test_select_on_a_malformed_run_grid_exit_2(self, tmp_path, capsys):
+        argv = ["select", "--out", str(tmp_path / "out")]
+        grid = artifact_dir(load(build_parser().parse_args(argv))) / "eval" / "grid.json"
+        grid.parent.mkdir(parents=True)
+        grid.write_text('{"cells": [{"attack": "DDoS-UDP_Flood"}]}', encoding="utf-8")
+        assert run_cli(*argv) == 2
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"]["kind"] == "config"
+        assert report["error"]["message"].startswith(f"bad grid file {grid}: ")
+        assert sorted(p.name for p in grid.parents[1].iterdir()) == ["eval"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("detect", "--input"), ("rank", "--dataset"), ("eval", "--dataset")],
+        ids=["detect-input", "rank-dataset", "eval-dataset"],
+    )
+    def test_csv_without_registry_columns_exit_1_and_no_out_dir(self, tmp_path, capsys, argv):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("Rate,label\n1.0,DDoS-UDP_Flood\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(*argv, str(flows), "--kb-source", "canonical", "--out", str(out)) == 1
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"]["kind"] == "DatasetError"
         assert not out.exists()
 
 
@@ -390,6 +449,17 @@ class TestPipelines:
                        {"eval": {"workers": 2}, "backend": {"llm": {"max_in_flight": 2}}})
         assert 1 <= keep_alive_server.connections_opened <= 2
 
+    def test_eval_llm_model_id_with_a_slash_names_flat_confusion_files(self, tmp_path, stub_server):
+        out = tmp_path / "out"
+        assert run_cli("eval", "--backend", "llm", "--synth", "--kb-source", "canonical", "--n-per-attack", "2",
+                       "--n-per-class", "1", "--model", "meta-llama/Llama-3.1-8B-Instruct",
+                       "--base-url", stub_server.base_url, "--out", str(out)) == 0
+        confusion = artifact_root(out) / "eval" / "confusion"
+        assert sorted((p.name, p.is_file()) for p in confusion.iterdir()) == [
+            (f"llm_meta-llama_Llama-3.1-8B-Instruct_{kb_config}.json", True)
+            for kb_config in ("long_kb", "no_kb", "short_kb")
+        ]
+
     def _replay_eval(self, tmp_path) -> tuple[list[str], dict]:
         """An `eval --backend replay` argv whose store directory holds one
         store per KB config, each with its own verdicts over the sample the
@@ -446,7 +516,7 @@ class TestPipelines:
         assert run_cli("eval", "--dataset", str(dataset), "--kb-source", "canonical", "--out", str(out)) == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"] == {"kind": "RuntimeError", "message": f"no records to evaluate in {dataset}"}
-        assert not (artifact_root(out) / "eval").exists()
+        assert not out.exists()
 
     def test_eval_rule_oracle_jitter_zero_all_cells_100(self, tmp_path, capsys):
         assert run_cli("eval", "--backend", "rule-oracle", "--synth",
@@ -649,6 +719,7 @@ class TestEnvAndLock:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 1
+            assert not (lock.parent / "synth").exists()
         finally:
             os.close(fd)
         assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 0
