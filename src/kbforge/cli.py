@@ -28,10 +28,11 @@ import json
 import os
 import re
 import sys
-import time
 import typing
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import canonical, detectors, evaluation, flow_data, forest_rank, kb_builder, profile as profile_mod
 from . import prompting, synth_traffic
@@ -432,8 +433,8 @@ def _read_grid(path: Path) -> evaluation.EvaluationGrid:
     return grid
 
 
-def _parse_record(text: str) -> flow_data.FlowRecord:
-    """The flow a detect --record JSON object gives; unlisted registry features are 0."""
+def _parse_record(text: str) -> flow_data.FlowTable:
+    """The one-row table a detect --record JSON object gives; unlisted registry features are 0."""
     try:
         given = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -446,9 +447,10 @@ def _parse_record(text: str) -> flow_data.FlowRecord:
     features = dict.fromkeys(flow_data.FEATURES, 0.0)
     try:
         features.update((name, float(value)) for name, value in given.items())
-        return flow_data.FlowRecord(features=features)
+        flow_data.FlowRecord(features=features)  # names the first value that is not finite
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad feature value in --record: {exc}") from None
+    return flow_data.FlowTable(np.array([list(features.values())]), np.full(1, -1, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +477,7 @@ def cmd_rank(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
 def cmd_profile(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
     profiles = _build_profiles(config, _load_table(config))
     out = artifact_dir(config) / "profile"
-    return out, [functools.partial(profile_mod.write_profiles, profiles, out / "profiles.json")]
+    return out, [functools.partial(_write_text, out / "profiles.json", profile_mod.profiles_to_json(profiles))]
 
 
 def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
@@ -483,10 +485,12 @@ def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> tuple[Path, lis
     kbs = [_text_kb(config, kb_config, profiles) for kb_config in KB_VARIANTS[config.kb.variant]]
     structured = kb_builder.structured_kb_to_json(kb_builder.structured_kb(profiles))
     out = artifact_dir(config) / "kb"
-    return out, [
-        *(functools.partial(kb_builder.write_kb, kb, out) for kb in kbs if kb is not None),
-        functools.partial(_write_text, out / "structured.json", structured),
-    ]
+    texts = {out / "structured.json": structured}
+    for kb in filter(None, kbs):
+        texts.update((out / kb.variant.value / f"{attack.render()}.txt", kb.entries[attack] + "\n")
+                     for attack in flow_data.ATTACK_LABELS if attack in kb.entries)
+        texts[out / kb.variant.value / "combined.txt"] = kb.combined_text() + "\n"
+    return out, [functools.partial(_write_text, path, text) for path, text in texts.items()]
 
 
 def cmd_synth(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
@@ -503,35 +507,30 @@ def cmd_synth(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
 
 def cmd_detect(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
     if args.record:
-        records = [_parse_record(args.record)]
+        table = _parse_record(args.record)
     elif args.input:
         if not Path(args.input).is_file():
             raise ConfigError(f"--input file does not exist: {args.input!r}")
-        records = _read_csv(args.input, require_labels=False)
+        table = _read_csv(args.input, require_labels=False)
     else:
-        records = _load_table(config)
+        table = _load_table(config)
     profiles = _resolve_profiles(config)
     kb_config = KB_VARIANTS[config.kb.variant][0]
     kb = _kb_input(config, kb_config, profiles)
-
-    lines = []
     with _detector(config, profiles) as detector:
-        for record in records:
-            start = time.perf_counter()  # spans every attempt and backoff wait
-            predicted = detector.classify(record, kb)
-            latency_ms = (time.perf_counter() - start) * 1000.0
-            row = {
-                "digest": prompting.record_digest(record),
-                "true": record.label.render() if record.label else None,
-                "predicted": predicted.render(),
-                "latency_ms": round(latency_ms, 3),
-                "backend_id": detector.backend_id,
-                "kb_config": kb_config.value,
-            }
-            lines.append(json.dumps(row))
-            print(json.dumps(row))
+        predicted = evaluation.predict(detector, table, kb)
+    text = "".join(
+        json.dumps({
+            "digest": prompting.record_digest(record),
+            "true": record.label.render() if record.label else None,
+            "predicted": flow_data.LABELS[code].render(),
+            "backend_id": detector.backend_id,
+            "kb_config": kb_config.value,
+        }) + "\n"
+        for record, code in zip(table, predicted.tolist())
+    )
     out = artifact_dir(config) / "detect"
-    return out, [functools.partial(_write_text, out / "results.jsonl", "".join(line + "\n" for line in lines))]
+    return out, [functools.partial(_write_text, out / "results.jsonl", text), functools.partial(print, text, end="")]
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
@@ -629,8 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser("detect", help="classify one record or a CSV of records")
     _add_common_flags(detect)
-    detect.add_argument("--input", help="CSV file of flows to classify")
-    detect.add_argument(
+    flows = detect.add_mutually_exclusive_group()
+    flows.add_argument("--input", help="CSV file of flows to classify")
+    flows.add_argument(
         "--record",
         help="inline JSON object of feature values; unlisted registry features default to 0",
     )

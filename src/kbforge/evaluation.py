@@ -69,18 +69,22 @@ def per_class_cells(cm: ConfusionMatrix) -> dict[AttackLabel, Cell]:
     return {LABELS[code]: Cell(int(cm.counts[code, code]) / n, n) for code, n in enumerate(totals) if n}
 
 
-def _classify_rows(backend: Detector, table: FlowTable, kb, strict: bool, workers: int):
-    """(true codes, predicted codes) of the records classified, and the number
-    of records whose transport failed in a best-effort run.
+def predict(backend: Detector, table: FlowTable, kb=None, *, strict: bool = True, workers: int = 1) -> np.ndarray:
+    """Each row's verdict as a label code, in row order; -1 marks a row whose
+    transport failed in a best-effort run.
 
-    `workers` threads, the caller's among them, take records from one
-    iterator and record each outcome under one lock; with one worker no
-    thread starts and the caller classifies the records in order. The first
-    exception the run does not count stops every thread from taking another
-    record, and is raised once all threads have joined."""
-    records = iter(table)
+    A backend with `classify_table` (the rule oracle) labels the whole matrix
+    in one call. Any other backend gets one `classify(record, kb)` per row:
+    `workers` threads, the caller's among them, take row indices from one
+    iterator; with one worker no thread starts and the caller classifies the
+    rows in order. In strict mode a transport failure aborts the run. The
+    first exception the run does not count stops every thread from taking
+    another row, and is raised once all threads have joined."""
+    if hasattr(backend, "classify_table"):
+        return backend.classify_table(table.X)
+    predicted = np.full(len(table), -1, dtype=np.intp)
+    rows = iter(range(len(table)))
     lock = threading.Lock()
-    pairs: list[tuple[int, int]] = []
     failures: list[BaseException] = []
 
     def work(helpers: list[threading.Thread]) -> None:
@@ -89,17 +93,14 @@ def _classify_rows(backend: Detector, table: FlowTable, kb, strict: bool, worker
                 thread.start()
             while True:
                 with lock:
-                    record = None if failures else next(records, None)
-                if record is None:
+                    i = None if failures else next(rows, None)
+                if i is None:
                     return
                 try:
-                    predicted = backend.classify(record, kb)
+                    predicted[i] = LABEL_CODES[backend.classify(table[i], kb)]
                 except TransportError:
                     if strict:
-                        raise
-                    continue  # a best-effort run counts it: every record not in pairs
-                with lock:
-                    pairs.append((LABEL_CODES[record.label], LABEL_CODES[predicted]))
+                        raise  # a best-effort run leaves the row at -1
         except BaseException as exc:  # KeyboardInterrupt too: raised below, after the joins
             with lock:
                 failures.append(exc)
@@ -111,8 +112,7 @@ def _classify_rows(backend: Detector, table: FlowTable, kb, strict: bool, worker
             thread.join()
     if failures:
         raise failures[0]
-    true, predicted = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return true, predicted, len(table) - len(pairs)
+    return predicted
 
 
 def evaluate(
@@ -123,23 +123,16 @@ def evaluate(
     strict: bool = True,
     workers: int = 1,
 ) -> ConfusionMatrix:
-    """Classify every row of the table and tally (true, predicted) pairs.
-
-    A backend with `classify_table` (the rule oracle) labels the whole matrix
-    in one call. Any other backend gets one `classify(record, kb)` per row,
-    on `workers` threads; in strict mode a transport failure aborts the run,
-    and best-effort runs count the failure in error_count and leave the
-    record out of the total. Both paths feed one tally of label codes, and
-    worker count never changes the result.
-    """
+    """Tally the (true, predicted) label codes of `predict`'s verdicts. A
+    best-effort run counts each row whose transport failed in error_count
+    and leaves it out of the total; worker count never changes the result."""
     if (table.codes < 0).any():
         raise EvaluationError("evaluate requires every record to be labeled")
-    if hasattr(backend, "classify_table"):
-        true, predicted, errors = table.codes.astype(np.intp), backend.classify_table(table.X), 0
-    else:
-        true, predicted, errors = _classify_rows(backend, table, kb, strict, workers)
+    predicted = predict(backend, table, kb, strict=strict, workers=workers)
+    done = predicted >= 0
     n = len(LABELS)
-    return ConfusionMatrix(np.bincount(true * n + predicted, minlength=n * n).reshape(n, n), errors)
+    cells = table.codes[done].astype(np.intp) * n + predicted[done]
+    return ConfusionMatrix(np.bincount(cells, minlength=n * n).reshape(n, n), len(table) - int(done.sum()))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 from .canonical import LONG_KB_TEXT, SHORT_KB_TEXT
@@ -246,21 +245,3 @@ def structured_kb_to_json(kb: StructuredKb) -> str:
                 for c in kb.per_attack[label]
             ]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def write_kb(kb: KnowledgeBase, root: str | Path) -> list[Path]:
-    """Persist a KB as kb/<variant>/<label>.txt plus a combined file."""
-    root = Path(root)
-    directory = root / kb.variant.value
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for attack in ATTACK_LABELS:
-        if attack not in kb.entries:
-            continue
-        path = directory / f"{attack.render()}.txt"
-        path.write_text(kb.entries[attack] + "\n", encoding="utf-8")
-        written.append(path)
-    combined = directory / "combined.txt"
-    combined.write_text(kb.combined_text() + "\n", encoding="utf-8")
-    written.append(combined)
-    return written

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -133,9 +132,3 @@ def profiles_from_json(text: str) -> list[AttackProfile]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"entry {index}: {exc}") from None
     return out
-
-
-def write_profiles(profiles: list[AttackProfile], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(profiles_to_json(profiles), encoding="utf-8")

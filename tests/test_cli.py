@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kbforge
@@ -19,7 +20,8 @@ from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.cli import (
     OVERRIDES, BackendSection, DataSection, RunConfig, SynthSection, artifact_dir, build_parser, load, main,
 )
-from kbforge.flow_data import LABEL_CODES, AttackLabel, stratified_sample, write_dataset
+from kbforge.detectors import RuleOracleConfig, RuleOracleDetector
+from kbforge.flow_data import LABEL_CODES, AttackLabel, FlowTable, stratified_sample, write_dataset
 from kbforge.profile import profiles_to_json
 from kbforge.prompting import record_digest
 from kbforge.synth_traffic import default_spec, generate_dataset
@@ -92,6 +94,18 @@ class TestKbBuild:
                        "--out", str(tmp_path)) == 0
         combined = artifact_root(tmp_path) / "kb" / "short" / "combined.txt"
         assert combined.read_bytes() == (GOLDEN_DIR / "short" / "combined.txt").read_bytes()
+
+    def test_canonical_layout_and_bytes(self, tmp_path):
+        assert run_cli("kb", "build", "--canonical", "--variant", "both", "--out", str(tmp_path)) == 0
+        expected = {}
+        for variant in kb_builder.KbVariant:
+            kb = kb_builder.canonical_kb(variant)
+            texts = {f"{attack.render()}.txt": text for attack, text in kb.entries.items()}
+            texts["combined.txt"] = kb.combined_text()
+            expected.update({f"{variant.value}/{name}": (text + "\n").encode() for name, text in texts.items()})
+        tree = read_tree(artifact_root(tmp_path) / "kb")
+        assert tree.pop("structured.json")
+        assert tree == expected
 
     def test_generated_build_runs(self, tmp_path):
         assert run_cli("kb", "build", "--generated", "--variant", "both", "--out", str(tmp_path),
@@ -388,8 +402,9 @@ class TestDeterminism:
             ("kb", "build", "--generated", "--variant", "both"),
             ("synth",),
             ("eval", "--backend", "rule-oracle", "--n-per-class", "40"),
+            ("detect", "--backend", "rule-oracle"),
         ],
-        ids=["rank", "profile", "kb-generated", "synth", "eval-rule-oracle"],
+        ids=["rank", "profile", "kb-generated", "synth", "eval-rule-oracle", "detect-rule-oracle"],
     )
     def test_two_runs_byte_identical(self, tmp_path, argv):
         common = ("--synth", "--n-per-attack", "60", "--seed", "11", "--jitter", "0.3")
@@ -576,7 +591,6 @@ class TestPipelines:
         assert line["predicted"] == "DDoS-UDP_Flood"
         assert line["backend_id"] == "llm:llama3.1:8b"
         assert len(stub_server.requests) == 2
-        assert line["latency_ms"] >= 250.0  # backoff_base_s is 0.25
 
     def test_detect_replay_serves_the_stored_label(self, tmp_path, capsys):
         store_dir = tmp_path / "stores"
@@ -602,6 +616,34 @@ class TestPipelines:
         assert run_cli(*argv, "--kb", "short", "--record", '{"Rate": 5000.0}') == 0
         line = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert (line["predicted"], line["kb_config"]) == ("DDoS-SYN_Flood", "short_kb")
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    def test_detect_input_gives_the_oracle_per_row_verdicts(self, tmp_path, capsys, strict):
+        table, _ = generate_dataset(default_spec(n_per_attack=25, jitter=1.0, seed=9))
+        # Zero about 30 % of the values, so that verdicts spread over several labels.
+        zeroed = np.random.Generator(np.random.PCG64(9)).random(table.X.shape) < 0.3
+        table = FlowTable(np.where(zeroed, 0.0, table.X), table.codes)
+        flows = tmp_path / "flows.csv"
+        write_dataset(table, flows)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"backend": {"rule_oracle": {"mandatory_strict": strict}}}), encoding="utf-8")
+        assert run_cli("detect", "--input", str(flows), "--backend", "rule-oracle", "--kb-source", "canonical",
+                       "--config", str(config), "--out", str(tmp_path / "out")) == 0
+        text = (artifact_root(tmp_path / "out") / "detect" / "results.jsonl").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == text  # printed as written
+        oracle = RuleOracleDetector(kb_builder.structured_kb(tuple(REFERENCE_PROFILES.values())),
+                                    RuleOracleConfig(mandatory_strict=strict))
+        expected = [oracle.classify(record).render() for record in table]
+        assert [json.loads(line)["predicted"] for line in text.splitlines()] == expected
+        assert len(set(expected)) > 2
+
+    def test_detect_record_and_input_together_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("detect", "--record", '{"Rate": 5000.0}', "--input", str(tmp_path / "flows.csv"),
+                    "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_detect_on_zero_rows_writes_an_empty_results_file(self, tmp_path):
         table, _ = generate_dataset(default_spec(n_per_attack=1, jitter=0.0, seed=1))
@@ -688,7 +730,7 @@ class TestSkippedRows:
                            "--out", str(out)) == 0
             reports.append(self.skipped_reports(capsys.readouterr().err))
             lines = (artifact_root(out) / "detect" / "results.jsonl").read_text(encoding="utf-8").splitlines()
-            results.append([{k: v for k, v in json.loads(line).items() if k != "latency_ms"} for line in lines])
+            results.append(lines)
         assert reports == [[], [{"kind": "rows_skipped", "file": str(csvs[1]), "rows_kept": 80, "rows_skipped": 2}]]
         assert len(results[0]) == 80 and results[0] == results[1]
 
@@ -712,17 +754,19 @@ class TestEnvAndLock:
         directory.mkdir(parents=True)
         return directory
 
-    def test_lockfile_blocks_concurrent_run(self, tmp_path):
+    @pytest.mark.parametrize("command", ["synth", "detect"])
+    def test_lockfile_blocks_concurrent_run(self, tmp_path, capsys, command):
         lock = self._run_dir(tmp_path) / ".lock"
         # flock treats each open file description apart, even in one process.
         fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 1
-            assert not (lock.parent / "synth").exists()
+            assert run_cli(command, "--n-per-attack", "10", "--out", str(tmp_path)) == 1
+            assert not (lock.parent / command).exists()
+            assert capsys.readouterr().out == ""  # a blocked run prints no result either
         finally:
             os.close(fd)
-        assert run_cli("synth", "--n-per-attack", "10", "--out", str(tmp_path)) == 0
+        assert run_cli(command, "--n-per-attack", "10", "--out", str(tmp_path)) == 0
 
     def test_lock_of_a_killed_run_does_not_block(self, tmp_path):
         directory = self._run_dir(tmp_path)

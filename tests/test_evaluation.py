@@ -29,6 +29,7 @@ from kbforge.evaluation import (
     evaluate,
     grid_from_reference,
     per_class_cells,
+    predict,
     render_table,
     select_best_kb,
 )
@@ -289,6 +290,34 @@ class TestEvaluate:
         cm = evaluate(oracle, records)
         assert cm.to_dict() == evaluate(PerRow(oracle), records).to_dict()
         assert np.count_nonzero(off_diagonal(cm).sum(axis=1)) > 1  # several true classes misread
+
+
+class TestPredict:
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_per_row_backend_gives_the_reference_codes_in_row_order(self, workers):
+        table, _ = generate_dataset(default_spec(n_per_attack=30, jitter=1.0, seed=8))
+        zeroed = np.random.Generator(np.random.PCG64(8)).random(table.X.shape) < 0.3
+        unlabeled = FlowTable(np.where(zeroed, 0.0, table.X), np.full(len(table), -1, dtype=np.int8))
+        oracle = RuleOracleDetector(structured_kb(tuple(REFERENCE_PROFILES.values())))
+        reference = [LABEL_CODES[oracle.classify(record)] for record in unlabeled]
+        assert predict(PerRow(oracle), unlabeled, workers=workers).tolist() == reference
+        assert predict(oracle, unlabeled).tolist() == reference  # the table path
+        assert len(set(reference)) > 2
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_best_effort_marks_the_row_whose_transport_failed(self, workers):
+        class FailsOnRate7:
+            backend_id = "flaky"
+
+            def classify(self, record, kb=None):
+                if record.features["Rate"] == 7.0:
+                    raise TransportError("timed out")
+                return AttackLabel.NORMAL
+
+        table = table_of([make_record(Rate=float(rate)) for rate in range(10)])
+        normal = LABEL_CODES[AttackLabel.NORMAL]
+        predicted = predict(FailsOnRate7(), table, strict=False, workers=workers)
+        assert predicted.tolist() == [normal] * 7 + [-1] + [normal] * 2
 
 
 class TestGrid:

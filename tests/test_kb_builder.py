@@ -19,7 +19,6 @@ from kbforge.kb_builder import (
     StructuredKb,
     structured_kb,
     structured_kb_to_json,
-    write_kb,
 )
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.synth_traffic import SynthSpec, default_spec, generate_dataset
@@ -263,13 +262,3 @@ class TestOnePinnedRule:
         assert structured_kb([pinned]).per_attack[AttackLabel.ICMP_FLOOD] == (
             Constraint("Min", ConstraintKind.MANDATORY_EQUALS, 1.0 + 3e-7, 1e-6),
         )
-
-
-class TestWriteKb:
-    def test_layout_and_bytes(self, tmp_path):
-        kb = canonical_kb(KbVariant.LONG)
-        paths = write_kb(kb, tmp_path)
-        icmp = tmp_path / "long" / "DDoS-ICMP_Flood.txt"
-        assert icmp in paths
-        assert icmp.read_text(encoding="utf-8") == kb.entries[AttackLabel.ICMP_FLOOD] + "\n"
-        assert (tmp_path / "long" / "combined.txt").exists()
