@@ -32,10 +32,12 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from . import params
 
-from . import canonical, detectors, evaluation, flow_data, forest_rank, kb_builder, profile as profile_mod
-from . import prompting, synth_traffic
+# Each subcommand imports the pipeline modules it runs, so start-up, --help and
+# a rejected config load no numpy; these imports serve the annotations only.
+if typing.TYPE_CHECKING:
+    from . import evaluation, flow_data, forest_rank, kb_builder, profile as profile_mod, synth_traffic
 
 
 class ConfigError(ValueError):
@@ -47,10 +49,10 @@ BACKENDS = ("rule-oracle", "llm", "replay")
 #: kb.variant -> the KB configurations it names; `kb build` writes each one's
 #: text, `detect` classifies with the first.
 KB_VARIANTS = {
-    "none": (evaluation.KbConfig.NO_KB,),
-    "long": (evaluation.KbConfig.LONG_KB,),
-    "short": (evaluation.KbConfig.SHORT_KB,),
-    "both": (evaluation.KbConfig.LONG_KB, evaluation.KbConfig.SHORT_KB),
+    "none": (params.KbConfig.NO_KB,),
+    "long": (params.KbConfig.LONG_KB,),
+    "short": (params.KbConfig.SHORT_KB,),
+    "both": (params.KbConfig.LONG_KB, params.KbConfig.SHORT_KB),
 }
 
 
@@ -66,6 +68,7 @@ class SynthSection:
             raise ValueError("data.synth.jitter must lie in [0, 1]")
 
     def spec(self, seed: int) -> synth_traffic.SynthSpec:
+        from . import synth_traffic
         return synth_traffic.default_spec(self.n_per_attack, self.jitter, seed)
 
 
@@ -94,7 +97,7 @@ class DataSection:
 @dataclass(frozen=True)
 class KbSection:
     variant: str = "both"
-    source: kb_builder.KbSource = kb_builder.KbSource.CANONICAL
+    source: params.KbSource = params.KbSource.CANONICAL
 
     def __post_init__(self) -> None:
         if self.variant not in KB_VARIANTS:
@@ -109,8 +112,8 @@ class ReplaySection:
 @dataclass(frozen=True)
 class BackendSection:
     kind: str = "rule-oracle"
-    llm: detectors.LlmEndpointConfig = detectors.LlmEndpointConfig()
-    rule_oracle: detectors.RuleOracleConfig = detectors.RuleOracleConfig()
+    llm: params.LlmEndpointConfig = params.LlmEndpointConfig()
+    rule_oracle: params.RuleOracleConfig = params.RuleOracleConfig()
     replay: ReplaySection = ReplaySection()
 
     def __post_init__(self) -> None:
@@ -121,9 +124,9 @@ class BackendSection:
 @dataclass(frozen=True)
 class EvalSection:
     n_per_class: int = 500
-    kb_configs: tuple[evaluation.KbConfig, ...] = tuple(evaluation.KbConfig)
+    kb_configs: tuple[params.KbConfig, ...] = tuple(params.KbConfig)
     best_effort: bool = False
-    mode: prompting.DescribeMode = prompting.DescribeMode.QUALITATIVE
+    mode: params.DescribeMode = params.DescribeMode.QUALITATIVE
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -141,7 +144,7 @@ class RunConfig:
     out: str = "out"
     k: int = 10
     data: DataSection = DataSection(synth=SynthSection())
-    forest: forest_rank.ForestParams = forest_rank.ForestParams()
+    forest: params.ForestParams = params.ForestParams()
     kb: KbSection = KbSection()
     backend: BackendSection = BackendSection()
     eval: EvalSection = EvalSection()
@@ -209,7 +212,7 @@ OVERRIDES = (
     ("backend.kind", "KBFORGE_BACKEND", "backend", str, "detector backend: " + ", ".join(BACKENDS)),
     ("kb.variant", "KBFORGE_KB", "kb", str, "KB variant: " + ", ".join(KB_VARIANTS)),
     ("kb.source", "KBFORGE_KB_SOURCE", "kb_source", str,
-     "KB source: " + ", ".join(s.value for s in kb_builder.KbSource)),
+     "KB source: " + ", ".join(s.value for s in params.KbSource)),
     ("eval.n_per_class", "KBFORGE_N_PER_CLASS", "n_per_class", int, "eval sample size per class"),
     ("backend.llm.base_url", "KBFORGE_BASE_URL", "base_url", str, "LLM endpoint base URL"),
     ("backend.llm.model_name", "KBFORGE_MODEL", "model", str, "LLM model name"),
@@ -323,6 +326,7 @@ class RunLock:
 def _read_csv(path: str | Path, **options) -> flow_data.FlowTable:
     """The rows of a dataset CSV; if any row was skipped, one JSON line on
     stderr names the file and counts the rows kept and skipped."""
+    from . import flow_data
     table, summary = flow_data.load_dataset(path, **options)
     if summary.skipped_count:
         report = {"file": str(path), "rows_kept": summary.record_count, "rows_skipped": summary.skipped_count}
@@ -333,12 +337,14 @@ def _read_csv(path: str | Path, **options) -> flow_data.FlowTable:
 def _load_table(config: RunConfig) -> flow_data.FlowTable:
     dataset = config.data.dataset
     if dataset is None:
+        from . import synth_traffic
         table, _ = synth_traffic.generate_dataset(config.data.synth.spec(config.seed))
         return table
     return _read_csv(dataset.path, label_column=dataset.label_column)
 
 
 def _rank_all(config: RunConfig, table) -> dict[flow_data.AttackLabel, forest_rank.ImportanceReport]:
+    from . import flow_data, forest_rank
     attacks = [attack for attack in flow_data.ATTACK_LABELS if table.has_label(attack).any()]
     if not attacks:
         raise RuntimeError("no attack-labeled records to rank")
@@ -346,6 +352,7 @@ def _rank_all(config: RunConfig, table) -> dict[flow_data.AttackLabel, forest_ra
 
 
 def _build_profiles(config: RunConfig, table) -> list[profile_mod.AttackProfile]:
+    from . import profile as profile_mod
     reports = _rank_all(config, table)
     return [
         profile_mod.build_attack_profile(table, attack, report, k=config.k)
@@ -355,6 +362,7 @@ def _build_profiles(config: RunConfig, table) -> list[profile_mod.AttackProfile]
 
 def _read_profiles(path: str) -> list[profile_mod.AttackProfile]:
     """The profiles a profiles file lists; a bad or empty file is a ConfigError."""
+    from . import profile as profile_mod
     try:
         profiles = profile_mod.profiles_from_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, TypeError, ValueError) as exc:
@@ -367,22 +375,24 @@ def _read_profiles(path: str) -> list[profile_mod.AttackProfile]:
 def _resolve_profiles(config: RunConfig, table=None) -> list[profile_mod.AttackProfile]:
     """The profiles file's profiles, else the bundled ones or ones built from
     the data, as kb.source says."""
+    from . import canonical
     if config.profiles_path:
         return _read_profiles(config.profiles_path)
-    if config.kb.source is kb_builder.KbSource.CANONICAL:
+    if config.kb.source is params.KbSource.CANONICAL:
         return list(canonical.REFERENCE_PROFILES.values())
     if table is None:
         table = _load_table(config)
     return _build_profiles(config, table)
 
 
-def _text_kb(config: RunConfig, kb_config: evaluation.KbConfig, profiles) -> kb_builder.KnowledgeBase | None:
+def _text_kb(config: RunConfig, kb_config: params.KbConfig, profiles) -> kb_builder.KnowledgeBase | None:
     """The KB text a KB configuration names: the bundled one, or one rendered
     from the profiles, as kb.source says."""
-    if kb_config is evaluation.KbConfig.NO_KB:
+    from . import kb_builder
+    if kb_config is params.KbConfig.NO_KB:
         return None
-    long = kb_config is evaluation.KbConfig.LONG_KB
-    if config.kb.source is kb_builder.KbSource.CANONICAL:
+    long = kb_config is params.KbConfig.LONG_KB
+    if config.kb.source is params.KbSource.CANONICAL:
         return kb_builder.canonical_kb(kb_builder.KbVariant.LONG if long else kb_builder.KbVariant.SHORT)
     if long:
         return kb_builder.render_long_kb(profiles)
@@ -392,6 +402,7 @@ def _text_kb(config: RunConfig, kb_config: evaluation.KbConfig, profiles) -> kb_
 @contextlib.contextmanager
 def _detector(config: RunConfig, profiles):
     """The run's one detector, closed when the run is done with it."""
+    from . import detectors, kb_builder
     backend = config.backend
     if backend.kind == "rule-oracle":
         detector = detectors.RuleOracleDetector(kb_builder.structured_kb(profiles), backend.rule_oracle)
@@ -406,10 +417,11 @@ def _detector(config: RunConfig, profiles):
             detector.close()  # its idle keep-alive connections
 
 
-def _kb_input(config: RunConfig, kb_config: evaluation.KbConfig, profiles):
+def _kb_input(config: RunConfig, kb_config: params.KbConfig, profiles):
     """What the detector classifies with under a KB configuration: nothing for
     the rule oracle, which reads the structured KB it was built on; the KB
     text for the LLM; <store_dir>/<kb_config>.jsonl for replay."""
+    from . import detectors
     if config.backend.kind == "rule-oracle":
         return None
     if config.backend.kind == "llm":
@@ -422,6 +434,7 @@ def _kb_input(config: RunConfig, kb_config: evaluation.KbConfig, profiles):
 
 def _read_grid(path: Path) -> evaluation.EvaluationGrid:
     """The grid a grid.json file holds; a missing, malformed or empty one is a ConfigError."""
+    from . import evaluation
     if not path.is_file():
         raise ConfigError(f"no grid file at {path}; pass --grid or --reference")
     try:
@@ -435,6 +448,8 @@ def _read_grid(path: Path) -> evaluation.EvaluationGrid:
 
 def _parse_record(text: str) -> flow_data.FlowTable:
     """The one-row table a detect --record JSON object gives; unlisted registry features are 0."""
+    import numpy as np
+    from . import flow_data
     try:
         given = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -465,6 +480,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_rank(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    from . import forest_rank
     reports = _rank_all(config, _load_table(config))
     out = artifact_dir(config) / "rank"
     return out, [
@@ -475,12 +491,14 @@ def cmd_rank(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
 
 
 def cmd_profile(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    from . import profile as profile_mod
     profiles = _build_profiles(config, _load_table(config))
     out = artifact_dir(config) / "profile"
     return out, [functools.partial(_write_text, out / "profiles.json", profile_mod.profiles_to_json(profiles))]
 
 
 def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    from . import flow_data, kb_builder
     profiles = _resolve_profiles(config)
     kbs = [_text_kb(config, kb_config, profiles) for kb_config in KB_VARIANTS[config.kb.variant]]
     structured = kb_builder.structured_kb_to_json(kb_builder.structured_kb(profiles))
@@ -494,6 +512,7 @@ def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> tuple[Path, lis
 
 
 def cmd_synth(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    from . import flow_data, synth_traffic
     spec = config.data.synth.spec(config.seed)
     if config.profiles_path:
         spec = dataclasses.replace(spec, profiles=tuple(_read_profiles(config.profiles_path)))
@@ -506,6 +525,7 @@ def cmd_synth(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
 
 
 def cmd_detect(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    from . import evaluation, flow_data, prompting
     if args.record:
         table = _parse_record(args.record)
     elif args.input:
@@ -534,6 +554,7 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+    from . import evaluation, flow_data
     table = _load_table(config)
     sample = flow_data.stratified_sample(table, n_per_class=config.eval.n_per_class, seed=config.seed)
     if len(sample) == 0:
@@ -565,18 +586,14 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
 
 
 def cmd_select(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
-    if args.reference and not args.grid:
+    from . import canonical, evaluation
+    if args.reference:
         grid = evaluation.grid_from_reference(canonical.REFERENCE_ACCURACY)
     else:
         grid = _read_grid(Path(args.grid or artifact_dir(config) / "eval" / "grid.json"))
-    payload = {}
-    for backend_id in grid.backends():
-        best = evaluation.select_best_kb(grid, backend_id)
-        payload[backend_id] = {
-            attack.render(): cfg.value for attack, cfg in sorted(
-                best.items(), key=lambda kv: kv[0].render()
-            )
-        }
+    best = {backend_id: evaluation.select_best_kb(grid, backend_id) for backend_id in grid.backends()}
+    payload = {backend_id: {attack.render(): cfg.value for attack, cfg in choice.items()}
+               for backend_id, choice in best.items()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = artifact_dir(config) / "select"
     return out, [
@@ -637,10 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     select = sub.add_parser("select", help="pick the best KB configuration per attack")
     _add_common_flags(select)
-    select.add_argument("--grid", help="path to a grid.json produced by eval")
-    select.add_argument(
-        "--reference", action="store_true", help="use the bundled reference accuracy grid"
-    )
+    grid = select.add_mutually_exclusive_group()
+    grid.add_argument("--grid", help="path to a grid.json produced by eval")
+    grid.add_argument("--reference", action="store_true", help="use the bundled reference accuracy grid")
     return parser
 
 

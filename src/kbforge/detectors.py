@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
@@ -18,6 +17,7 @@ from .flow_data import (
     ATTACK_LABELS, FEATURE_INDEX, FEATURES, LABEL_CODES, LABELS, AttackLabel, FlowRecord, canonicalize_label,
 )
 from .kb_builder import ConstraintKind, KnowledgeBase, StructuredKb
+from .params import LlmEndpointConfig, RuleOracleConfig
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
 
@@ -69,16 +69,6 @@ class Detector(Protocol):
 #: Rows the rule oracle scores at once: a block bounds its rows x rules
 #: temporaries, small enough for the allocator to reuse, not page in afresh.
 _BLOCK_ROWS = 128
-
-
-@dataclass(frozen=True)
-class RuleOracleConfig:
-    min_score: float = 0.5
-    mandatory_strict: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.min_score <= 1.0:
-            raise ValueError("min_score must lie in [0, 1]")
 
 
 class RuleOracleDetector:
@@ -147,34 +137,6 @@ class RuleOracleDetector:
 # ---------------------------------------------------------------------------
 # LLM endpoint backend (Ollama-style generate API, or chat completions).
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LlmEndpointConfig:
-    base_url: str = "http://localhost:11434"
-    model_name: str = "llama3.1:8b"
-    request_timeout_s: float = 60.0
-    max_retries: int = 2
-    temperature: float = 0.0
-    api: str = "generate"  # "generate" (Ollama) or "chat" (chat completions)
-    max_in_flight: int = 4
-    backoff_base_s: float = field(default=0.25, metadata={"config": False})  # tuned in code, no config key
-
-    def __post_init__(self) -> None:
-        url = urlsplit(self.base_url)
-        # url.port itself raises ValueError for a port that is not a number in range.
-        if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
-            raise ValueError("base_url must be an http:// or https:// URL with a host")
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.api not in ("generate", "chat"):
-            raise ValueError("api must be 'generate' or 'chat'")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
 
 def _retry_after_s(header: str | None) -> float | None:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +19,7 @@ from .flow_data import (
     FlowTable,
     canonicalize_label,
 )
-
-
-class KbConfig(Enum):
-    NO_KB = "no_kb"
-    LONG_KB = "long_kb"
-    SHORT_KB = "short_kb"
-
-    def display(self) -> str:
-        return {"no_kb": "No KB", "long_kb": "Long KB", "short_kb": "Short KB"}[self.value]
+from .params import KbConfig
 
 
 #: Tie-break precedence for select_best_kb: the smaller KB wins equal accuracy.

@@ -64,22 +64,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .flow_data import FEATURES, AttackLabel, FlowTable
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    num_trees: int = 100
-    max_depth: int = 12
-    min_samples_leaf: int = 5
-    bootstrap: bool = True
-
-    def __post_init__(self) -> None:
-        if self.num_trees < 1:
-            raise ValueError("num_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+from .params import ForestParams
 
 
 @dataclass(frozen=True)

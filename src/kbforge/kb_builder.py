@@ -10,17 +10,13 @@ from typing import NamedTuple
 
 from .canonical import LONG_KB_TEXT, SHORT_KB_TEXT
 from .flow_data import ATTACK_LABELS, AttackLabel, display_name
+from .params import KbSource  # noqa: F401 (importable as kb_builder.KbSource)
 from .profile import CONSTANT_TOLERANCE, AttackProfile, FeatureProfile
 
 
 class KbVariant(Enum):
     LONG = "long"
     SHORT = "short"
-
-
-class KbSource(Enum):
-    CANONICAL = "canonical"
-    GENERATED = "generated"
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .flow_data import FEATURE_INDEX, AttackLabel, FlowTable, canonicalize_label
-from .forest_rank import ImportanceReport
+
+if TYPE_CHECKING:
+    from .forest_rank import ImportanceReport
 
 #: A feature whose max - min is within this tolerance is pinned at its median.
 CONSTANT_TOLERANCE = 1e-6

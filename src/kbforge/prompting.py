@@ -5,11 +5,11 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .canonical import PROFILED_FEATURES
 from .flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord, display_name
 from .kb_builder import KnowledgeBase, format_number
+from .params import DescribeMode
 
 #: The nine answer options, in fixed order. The corrected spelling "Unknown"
 #: is offered; the parser below also accepts the "Unknow" variant.
@@ -21,11 +21,6 @@ INSTRUCTION = (
     "Based on the knowledge base, determine the most likely attack type from the "
     f"following list: {OPTION_LIST}. Answer with exactly one label."
 )
-
-
-class DescribeMode(Enum):
-    NUMERIC = "numeric"
-    QUALITATIVE = "qualitative"
 
 
 # Qualitative tags for raw feature values. Each rule is total: any real value

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kbforge
-from kbforge import evaluation, forest_rank, kb_builder, prompting, synth_traffic
+from kbforge import detectors, evaluation, forest_rank, kb_builder, params, prompting, synth_traffic
 from kbforge import profile as profile_mod
 from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.cli import (
@@ -645,6 +645,13 @@ class TestPipelines:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_select_grid_and_reference_together_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("select", "--reference", "--grid", str(tmp_path / "grid.json"), "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_detect_on_zero_rows_writes_an_empty_results_file(self, tmp_path):
         table, _ = generate_dataset(default_spec(n_per_attack=1, jitter=0.0, seed=1))
         flows = tmp_path / "flows.csv"
@@ -790,20 +797,80 @@ class TestEnvAndLock:
 
 
 class TestDependencies:
-    """The CLI starts on the standard library plus numpy; an HTTP library, or
-    the stdlib HTTP client and thread pool that only an LLM run uses,
-    imported at start-up would cost every run, rank and rule-oracle eval too."""
+    """`import kbforge.cli` loads the standard library and the config's value
+    types (`kbforge.params`) only, and each subcommand loads the pipeline
+    modules it runs: numpy, a pipeline module, an HTTP library, or the stdlib
+    HTTP client and thread pool that only an LLM run uses, imported at start-up
+    would cost every run, `--help` and a rejected config too. Each check runs
+    in a fresh interpreter, since this one has loaded every module."""
 
-    def test_cli_import_loads_no_http_library(self):
-        src = Path(kbforge.__file__).resolve().parents[1]
-        unused = {"requests", "urllib3", "http.client", "ssl", "email", "concurrent.futures"}
-        code = f"import kbforge.cli, sys; print(sorted({unused!r} & set(sys.modules)))"
-        env = {**os.environ, "PYTHONPATH": str(src)}
+    #: Runs the CLI on sys.argv[1:], then prints its exit code, the kbforge
+    #: modules loaded and whether numpy is, as the last line of stdout.
+    RUN_MAIN = (
+        "import json, sys\n"
+        "from kbforge import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('kbforge.'))\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))"
+    )
+
+    @staticmethod
+    def fresh_python(code: str, *args: str, cwd: Path | None = None):
+        """The JSON value on the last stdout line of `python -c code args`."""
+        env = {**os.environ, "PYTHONPATH": str(Path(kbforge.__file__).resolve().parents[1])}
         result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_cli_import_loads_no_http_library(self):
+        unused = {"requests", "urllib3", "http.client", "ssl", "email", "concurrent.futures"}
+        code = f"import json, kbforge.cli, sys; print(json.dumps(sorted({unused!r} & set(sys.modules))))"
+        assert self.fresh_python(code) == []
+
+    def test_cli_import_parse_and_load_leave_numpy_unloaded(self, tmp_path, no_env_overrides):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(readme_example()), encoding="utf-8")
+        code = (
+            "import json, sys\n"
+            "from kbforge import cli\n"
+            "config = cli.load(cli.build_parser().parse_args(['eval', '--config', sys.argv[1]]))\n"
+            "loaded = sorted(name for name in sys.modules if name.startswith('kbforge.'))\n"
+            "print(json.dumps([config.to_dict(), loaded, 'numpy' in sys.modules]))"
+        )
+        assert self.fresh_python(code, str(config)) == [readme_example(), ["kbforge.cli", "kbforge.params"], False]
+
+    def test_rank_loads_only_the_data_and_forest_modules(self, tmp_path):
+        table, _ = generate_dataset(default_spec(n_per_attack=10, jitter=0.3, seed=1))
+        write_dataset(table, tmp_path / "flows.csv")
+        (tmp_path / "c.json").write_text(json.dumps({"forest": {"num_trees": 2}}), encoding="utf-8")
+        argv = ["rank", "--dataset", "flows.csv", "--config", "c.json", "--out", "out"]
+        modules = ["kbforge.cli", "kbforge.flow_data", "kbforge.forest_rank", "kbforge.params"]
+        assert self.fresh_python(self.RUN_MAIN, *argv, cwd=tmp_path) == [0, modules, True]
+
+    def test_select_reference_loads_no_forest(self, tmp_path):
+        code, loaded, _ = self.fresh_python(self.RUN_MAIN, "select", "--reference", "--out", "out", cwd=tmp_path)
+        assert code == 0
+        assert "kbforge.evaluation" in loaded and "kbforge.forest_rank" not in loaded
+
+    @pytest.mark.parametrize(
+        "file_config", [{"forest": {"num_trees": 0}}, {"eval": {"mode": "Numeric"}}, {"kb": {"nope": 1}}],
+        ids=["out-of-range", "bad-enum", "unknown-key"],
+    )
+    def test_bad_config_exits_2_before_numpy_loads(self, tmp_path, file_config):
+        (tmp_path / "c.json").write_text(json.dumps(file_config), encoding="utf-8")
+        argv = ["eval", "--config", "c.json", "--out", "out"]
+        assert self.fresh_python(self.RUN_MAIN, *argv, cwd=tmp_path) == [2, ["kbforge.cli", "kbforge.params"], False]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [(forest_rank, "ForestParams"), (detectors, "LlmEndpointConfig"), (detectors, "RuleOracleConfig"),
+         (kb_builder, "KbSource"), (evaluation, "KbConfig"), (prompting, "DescribeMode")],
+    )
+    def test_config_types_keep_their_old_paths(self, module, name):
+        assert getattr(module, name) is getattr(params, name)
 
     def test_runtime_dependencies_are_numpy_only(self):
         tomllib = pytest.importorskip("tomllib")
