@@ -7,10 +7,10 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detectors import Detector, TransportError
 from .flow_data import (
     ATTACK_LABELS,
     LABEL_CODES,
@@ -20,6 +20,9 @@ from .flow_data import (
     canonicalize_label,
 )
 from .params import KbConfig
+
+if TYPE_CHECKING:
+    from .detectors import Detector
 
 
 #: Tie-break precedence for select_best_kb: the smaller KB wins equal accuracy.
@@ -73,6 +76,8 @@ def predict(backend: Detector, table: FlowTable, kb=None, *, strict: bool = True
     another row, and is raised once all threads have joined."""
     if hasattr(backend, "classify_table"):
         return backend.classify_table(table.X)
+    from .detectors import TransportError  # here, so that `select` loads no detector stack
+
     predicted = np.full(len(table), -1, dtype=np.intp)
     rows = iter(range(len(table)))
     lock = threading.Lock()

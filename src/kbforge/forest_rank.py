@@ -32,9 +32,9 @@ expressions in the same order, so thresholds, reductions and leaf values
 (``s / n``) are bit-identical to it. The chosen split then partitions every
 row stably in place, and the children are the two halves of the node's
 slice; when both children are leaves (by depth, size or purity) the
-partition is skipped. Scoring and partitioning take the rows in chunks of
-at most ``CHUNK_ELEMENTS`` elements, which bounds a node's temporaries, and
-so peak memory, whatever the data size.
+partition is skipped. Building a tree's rows, scoring and partitioning
+take them in chunks of at most ``CHUNK_ELEMENTS`` elements, which bounds a
+step's temporaries, and so peak memory, whatever the data size.
 
 ``fit_forest`` takes one indicator of shape (n,) or a (k, n) stack of them,
 and the ``Forest`` it returns lists its trees target-major:
@@ -94,8 +94,13 @@ class Forest:
 
 
 #: Most elements (feature rows x node records) that one step of a node's split
-#: search or partition handles at once; it caps the temporaries a node allocates.
-CHUNK_ELEMENTS = 1 << 15
+#: search or partition, or of building a tree's rows, handles at once; it caps
+#: the temporaries a step allocates. At 2**13 an int64 temporary is 64 KiB,
+#: under glibc's 128 KiB mmap threshold (M_MMAP_THRESHOLD, mallopt(3)), so
+#: malloc serves it from heap pages the process already holds. At 2**15 each
+#: node mapped fresh pages that the kernel zero-fills on first touch: about
+#: 12,000 minor page faults per fit of 4,000 records.
+CHUNK_ELEMENTS = 1 << 13
 
 #: Bits of an int64 that packed fields may fill; the sign bit stays clear.
 _WORD_BITS = 63
@@ -127,8 +132,9 @@ class _TreeGrower:
     columns ``lo:hi`` of every row; it also knows its draw count ``n`` and
     the positive draws ``s`` among them. ``words`` are ``_pack``'s words and
     ``field`` names the target that ``grow`` follows; ``best_splits`` scores
-    whichever targets it is given. With ``shares_order`` set, the first
-    partition copies ``order``, so the caller's buffer stays as it was.
+    whichever targets it is given. Given a ``spare`` buffer of ``order``'s
+    shape, the first partition copies ``order`` into it and works there, so
+    the caller's buffer stays as it was.
     """
 
     def __init__(
@@ -140,7 +146,7 @@ class _TreeGrower:
         words: np.ndarray,
         bits: int,
         field: tuple[int, int] = (0, 0),
-        shares_order: bool = False,
+        spare: np.ndarray | None = None,
     ):
         self.values = columns.ravel()
         self.offsets = np.arange(0, columns.size, columns.shape[1])[:, None]
@@ -150,7 +156,7 @@ class _TreeGrower:
         self.words = words
         self.mask = (1 << bits) - 1
         self.field = field
-        self.shares_order = shares_order
+        self.spare = spare
         self.n_root = columns.shape[1]
 
     def is_leaf(self, n: int, s: int, depth: int) -> bool:
@@ -195,12 +201,14 @@ class _TreeGrower:
         total_n = float(n)
         best: list[tuple | None] = [None] * len(fields)
         step = max(1, CHUNK_ELEMENTS // m)
+        # Array methods rather than np.take and np.flatnonzero, whose Python
+        # wrappers cost about a microsecond a call in a fit's thousands of steps.
         for r0 in range(0, self.order.shape[0], step):
             rows = self.order[r0 : r0 + step, lo:hi]
-            vs = np.take(self.values, rows + self.offsets[r0 : r0 + step])
-            at = np.flatnonzero(vs[:, :-1] < vs[:, 1:])  # boundaries between distinct values, row-major
+            vs = self.values.take(rows + self.offsets[r0 : r0 + step])
+            at = (vs[:, :-1] < vs[:, 1:]).ravel().nonzero()[0]  # boundaries between distinct values, row-major
             ends = at + at // (m - 1)
-            prefix = [np.take(word, rows).cumsum(axis=1).ravel()[ends] for word in self.words]
+            prefix = [word.take(rows).cumsum(axis=1).ravel()[ends] for word in self.words]
             n_left = prefix[0] & self.mask
             admissible = (n_left >= min_leaf) & (n_left <= n - min_leaf)
             at, n_left = at[admissible], n_left[admissible]
@@ -234,18 +242,19 @@ class _TreeGrower:
     def _partition(self, lo: int, hi: int, column: int, m_left: int) -> None:
         """Move the node's first m_left records of row ``column`` to the front
         of every row, keeping each side's order."""
-        if self.shares_order:
-            self.order, self.shares_order = self.order.copy(), False
+        if self.spare is not None:
+            self.spare[...] = self.order
+            self.order, self.spare = self.spare, None
         m = hi - lo
         left = np.zeros(self.n_root, dtype=bool)
         left[self.order[column, lo : lo + m_left]] = True
         step = max(1, CHUNK_ELEMENTS // m)
         for r0 in range(0, self.order.shape[0], step):
             rows = self.order[r0 : r0 + step, lo:hi]
-            goes_left = np.take(left, rows)
+            goes_left = left.take(rows)
             k = rows.shape[0]
-            ahead = np.take(rows, np.flatnonzero(goes_left)).reshape(k, m_left)
-            rows[:, m_left:] = np.take(rows, np.flatnonzero(~goes_left)).reshape(k, m - m_left)
+            ahead = rows.take(goes_left.ravel().nonzero()[0]).reshape(k, m_left)
+            rows[:, m_left:] = rows.take((~goes_left).ravel().nonzero()[0]).reshape(k, m - m_left)
             rows[:, :m_left] = ahead
 
 
@@ -284,6 +293,9 @@ def fit_forest(
     # Each varying column's rows by (value, index), as int32: half the memory of numpy's index type.
     presorted = np.argsort(columns, axis=1, kind="stable").astype(np.int32).ravel()
     bits = n.bit_length()
+    # A tree's rows, and the copy that every target but the last partitions,
+    # live in two buffers that last the fit and grow to the largest tree.
+    buffers = np.empty((2, 0), dtype=np.intp)
     trees: list[list[TreeNode]] = [[] for _ in range(k)]
     for t in range(params.num_trees):
         if params.bootstrap:
@@ -291,10 +303,19 @@ def fit_forest(
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
             counts = np.ones(n, dtype=np.int64)
-        # Each row keeps its drawn records, as numpy's index type (no cast per gather).
-        order = np.compress(np.take(counts > 0, presorted), presorted).reshape(varying.size, -1)
-        order = order.astype(np.intp)
-        m = order.shape[1]
+        # Each row keeps its drawn records, as numpy's index type (no cast per
+        # gather), compressed CHUNK_ELEMENTS at a time straight into place.
+        drawn = counts > 0
+        m = np.count_nonzero(drawn)
+        if buffers.shape[1] < varying.size * m:
+            buffers = None  # the last tree's views are gone, so its buffers are freed first
+            buffers = np.empty((2, varying.size * m), dtype=np.intp)
+        flat, spare = buffers[:, : varying.size * m]
+        step = max(1, CHUNK_ELEMENTS // n)
+        for r0 in range(0, varying.size, step):
+            ranked = presorted[r0 * n : (r0 + step) * n]
+            flat[r0 * m : (r0 + step) * m] = ranked.compress(drawn.take(ranked))
+        order = flat.reshape(varying.size, m)
         positives = counts * positive
         totals = positives.sum(axis=1).tolist()
         # One root scan serves every target that is not a leaf at the root.
@@ -305,10 +326,12 @@ def fit_forest(
         bests = dict(zip(searched, found))
         for i in range(k):
             # Below the root a target needs only its own field. Every target
-            # but the last partitions a copy of the shared buffer.
+            # but the last partitions a copy of the shared rows.
             words, (field,) = _pack(counts, positives[i : i + 1], bits)
-            grower = _TreeGrower(columns, names, order, params, words, bits, field, shares_order=i < k - 1)
+            copy = spare.reshape(order.shape) if i < k - 1 else None
+            grower = _TreeGrower(columns, names, order, params, words, bits, field, copy)
             trees[i].append(grower.node(0, m, 0, n, totals[i], bests.get(i)))
+        del flat, spare, order, copy, root, grower
     return Forest(trees=tuple(tree for per_target in trees for tree in per_target), params=params, seed=seed)
 
 
