@@ -447,11 +447,14 @@ def _read_grid(path: Path) -> evaluation.EvaluationGrid:
 
 
 def _parse_record(text: str) -> flow_data.FlowTable:
-    """The one-row table a detect --record JSON object gives; unlisted registry features are 0."""
+    """The one-row table a detect --record JSON object of feature numbers
+    gives; unlisted registry features are 0."""
     import numpy as np
     from . import flow_data
     try:
-        given = json.loads(text)
+        # An integer reads as float() reads its digits, so one past float's
+        # range is inf, and "+ 0.0" keeps "-0" the 0.0 its integer is.
+        given = json.loads(text, parse_int=lambda digits: float(digits) + 0.0)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--record is not valid JSON: {exc}") from None
     if not isinstance(given, dict):
@@ -459,13 +462,12 @@ def _parse_record(text: str) -> flow_data.FlowTable:
     unknown = given.keys() - flow_data.FEATURE_SET
     if unknown:
         raise ConfigError(f"unknown features in --record: {sorted(unknown)}")
-    features = dict.fromkeys(flow_data.FEATURES, 0.0)
-    try:
-        features.update((name, float(value)) for name, value in given.items())
-        flow_data.FlowRecord(features=features)  # names the first value that is not finite
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad feature value in --record: {exc}") from None
-    return flow_data.FlowTable(np.array([list(features.values())]), np.full(1, -1, dtype=np.int8))
+    row = np.zeros((1, len(flow_data.FEATURES)))
+    for name, value in given.items():
+        if type(value) is not float or not np.isfinite(value):
+            raise ConfigError(f"bad feature value in --record: {name!r} must be a finite number, not {value!r}")
+        row[0, flow_data.FEATURE_INDEX[name]] = value
+    return flow_data.FlowTable(row, np.full(1, -1, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------

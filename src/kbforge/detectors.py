@@ -13,9 +13,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .flow_data import (
-    ATTACK_LABELS, FEATURE_INDEX, FEATURES, LABEL_CODES, LABELS, AttackLabel, FlowRecord, canonicalize_label,
-)
+from .flow_data import ATTACK_LABELS, FEATURE_INDEX, LABEL_CODES, LABELS, AttackLabel, FlowRecord, canonicalize_label
 from .kb_builder import ConstraintKind, KnowledgeBase, StructuredKb
 from .params import LlmEndpointConfig, RuleOracleConfig
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
@@ -111,7 +109,7 @@ class RuleOracleDetector:
 
     def classify(self, record: FlowRecord, kb=None) -> AttackLabel:
         """Classify with the KB the detector was built on; `kb` is not read."""
-        return LABELS[self.classify_table(np.array([[record.features[name] for name in FEATURES]]))[0]]
+        return LABELS[self.classify_table(record.features[None])[0]]
 
     def classify_table(self, X: np.ndarray) -> np.ndarray:
         """The verdict for every row of a FlowTable matrix, as label codes

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 import re
 from array import array
 from collections import Counter
@@ -12,6 +11,7 @@ from enum import Enum
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,39 +137,22 @@ def canonicalize_label(raw: str) -> AttackLabel:
     return _LABEL_LOOKUP.get(_normalize(raw), AttackLabel.UNKNOWN)
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One flow's feature values plus an optional ground-truth label."""
+class FlowRecord(NamedTuple):
+    """One flow: its float64 feature row in registry order (a copy, not a view
+    of a table) and an optional ground-truth label. A FlowTable checks the
+    values."""
 
-    features: dict[str, float]
+    features: np.ndarray
     label: AttackLabel | None = None
-
-    def __post_init__(self) -> None:
-        missing = FEATURE_SET - self.features.keys()
-        if missing:
-            raise ValueError(f"record is missing registry features: {sorted(missing)[:4]}...")
-        for name in FEATURES:
-            value = self.features[name]
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite value for {name!r}: {value}")
-
-    @classmethod
-    def _checked(cls, features: dict[str, float], label: AttackLabel | None) -> FlowRecord:
-        """A record of values already known complete and finite, built without
-        re-validating them."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "features", features)
-        object.__setattr__(record, "label", label)
-        return record
 
 
 class FlowTable:
     """A set of flows as one float64 matrix ``X[n, len(FEATURES)]`` in
     registry order and an int8 array ``codes[n]`` of label codes.
 
-    Every value is checked finite once, here, so rows read back as
-    FlowRecords are not checked again. Rows read, iterate and assign as
-    FlowRecords.
+    This is the one place flow values are checked: every value is finite
+    when the table is built, and a row assigned to it must be a finite row
+    of len(FEATURES) values. Rows read, iterate and assign as FlowRecords.
     """
 
     def __init__(self, X: np.ndarray, codes: np.ndarray):
@@ -183,14 +166,16 @@ class FlowTable:
 
     def __getitem__(self, i: int) -> FlowRecord:
         code = int(self.codes[i])
-        label = LABELS[code] if code >= 0 else None
-        return FlowRecord._checked(dict(zip(FEATURES, self.X[i].tolist())), label)
+        return FlowRecord(self.X[i].copy(), LABELS[code] if code >= 0 else None)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     def __setitem__(self, i: int, record: FlowRecord) -> None:
-        self.X[i] = [record.features[name] for name in FEATURES]
+        row = np.asarray(record.features, dtype=np.float64)
+        if row.shape != (len(FEATURES),) or not np.isfinite(row).all():
+            raise ValueError(f"a flow row needs {len(FEATURES)} finite values")
+        self.X[i] = row
         self.codes[i] = -1 if record.label is None else LABEL_CODES[record.label]
 
     def take(self, rows: np.ndarray) -> FlowTable:

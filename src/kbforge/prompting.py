@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 
 from .canonical import PROFILED_FEATURES
-from .flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord, display_name
+from .flow_data import ATTACK_LABELS, FEATURE_INDEX, FEATURES, AttackLabel, FlowRecord, display_name
 from .kb_builder import KnowledgeBase, format_number
 from .params import DescribeMode
 
@@ -65,24 +65,25 @@ def describe_flow(
     mode: DescribeMode = DescribeMode.QUALITATIVE,
 ) -> str:
     """Render a record as the traffic-data block of a prompt."""
+    values = record.features.tolist()
     if mode is DescribeMode.NUMERIC:
         lines = [
-            f"- {display_name(name)}: {format_number(record.features[name])}"
+            f"- {display_name(name)}: {format_number(values[FEATURE_INDEX[name]])}"
             for name in KB_RELEVANT_FEATURES
         ]
         return "\n".join(lines)
 
-    protocol_value = record.features["Protocol Type"]
+    protocol_value = values[FEATURE_INDEX["Protocol Type"]]
     protocol = _PROTOCOL_NAMES.get(round(protocol_value), format_number(protocol_value))
-    rate = record.features["Rate"]
+    rate = values[FEATURE_INDEX["Rate"]]
     lines = [
         f"- Protocol Type: {protocol}",
         f"- Packet Rate: {format_number(rate)} packets/sec ({rate_tag(rate)})",
-        f"- Inter-Arrival Time (IAT): {iat_tag(record.features['IAT'])}",
+        f"- Inter-Arrival Time (IAT): {iat_tag(values[FEATURE_INDEX['IAT']])}",
         "- TCP Flags:",
     ]
     for shown, feature in _FLAG_ORDER:
-        lines.append(f"    - {shown}: {flag_tag(record.features[feature])}")
+        lines.append(f"    - {shown}: {flag_tag(values[FEATURE_INDEX[feature]])}")
     return "\n".join(lines)
 
 
@@ -93,7 +94,7 @@ def record_digest(record: FlowRecord) -> str:
     not participate. repr round-trips floats exactly, so equal renderings
     mean equal vectors.
     """
-    body = "\n".join(f"{name}={record.features[name]!r}" for name in FEATURES)
+    body = "\n".join(f"{name}={value!r}" for name, value in zip(FEATURES, record.features.tolist(), strict=True))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
@@ -136,16 +137,12 @@ _LABEL_PATTERNS: tuple[tuple[AttackLabel, re.Pattern], ...] = tuple(
 )
 
 
+#: Every label pattern as one alternative, in LABEL_OPTIONS order: a search
+#: finds the earliest mention, and at one position the first option.
+_ANY_LABEL = re.compile("|".join(f"({pattern.pattern})" for _, pattern in _LABEL_PATTERNS), re.IGNORECASE)
+
+
 def parse_response(text: str) -> AttackLabel:
     """Find canonical label mentions; earliest by position wins, none is Unknown."""
-    best: tuple[int, int] | None = None
-    best_label = AttackLabel.UNKNOWN
-    for order, (label, pattern) in enumerate(_LABEL_PATTERNS):
-        match = pattern.search(text)
-        if match is None:
-            continue
-        key = (match.start(), order)
-        if best is None or key < best:
-            best = key
-            best_label = label
-    return best_label
+    match = _ANY_LABEL.search(text)
+    return AttackLabel.UNKNOWN if match is None else LABEL_OPTIONS[match.lastindex - 1]

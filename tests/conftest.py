@@ -11,20 +11,27 @@ import numpy as np
 import pytest
 
 from kbforge.detectors import LlmDetector
-from kbforge.flow_data import FEATURES, LABEL_CODES, AttackLabel, FlowRecord, FlowTable
+from kbforge.flow_data import FEATURE_INDEX, FEATURES, LABEL_CODES, AttackLabel, FlowRecord, FlowTable
 
 
 def make_record(label: AttackLabel | None = None, **overrides: float) -> FlowRecord:
-    features = {name: 0.0 for name in FEATURES}
-    features.update(overrides)
-    return FlowRecord(features=features, label=label)
+    """A record of zeros but for the named features."""
+    features = np.zeros(len(FEATURES))
+    for name, value in overrides.items():
+        features[FEATURE_INDEX[name]] = value
+    return FlowRecord(features, label)
 
 
 def table_of(records) -> FlowTable:
     """The FlowTable whose rows are `records`, in order."""
-    X = np.array([[r.features[name] for name in FEATURES] for r in records], dtype=np.float64)
+    X = np.array([r.features for r in records], dtype=np.float64)
     codes = np.array([-1 if r.label is None else LABEL_CODES[r.label] for r in records], dtype=np.int8)
     return FlowTable(X.reshape(-1, len(FEATURES)), codes)
+
+
+def feature_value(record: FlowRecord, name: str) -> float:
+    """A record's value of the feature `name`."""
+    return float(record.features[FEATURE_INDEX[name]])
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from kbforge.evaluation import (
     per_class_cells,
     select_best_kb,
 )
-from kbforge.flow_data import ATTACK_LABELS, FEATURES, LABEL_CODES, LABELS, AttackLabel, FlowRecord
+from kbforge.flow_data import ATTACK_LABELS, FEATURE_INDEX, FEATURES, LABEL_CODES, LABELS, AttackLabel, FlowRecord
 from kbforge.forest_rank import ForestParams, rank_features_for_attack
 from kbforge.kb_builder import structured_kb
 from kbforge.profile import compute_profile
@@ -136,18 +136,10 @@ def test_04_importance_recovery():
             records = []
             for i in range(2000):
                 positive = i % 2 == 0
-                features = {
-                    name: float(v)
-                    for name, v in zip(FEATURES, rng.uniform(0.0, 100.0, len(FEATURES)))
-                }
+                features = rng.uniform(0.0, 100.0, len(FEATURES))
                 # informative column is an exact function of the class indicator
-                features["Header Length"] = 200.0 + 80.0 * (1.0 if positive else 0.0)
-                records.append(
-                    FlowRecord(
-                        features=features,
-                        label=ICMP if positive else UDP,
-                    )
-                )
+                features[FEATURE_INDEX["Header Length"]] = 200.0 + 80.0 * (1.0 if positive else 0.0)
+                records.append(FlowRecord(features=features, label=ICMP if positive else UDP))
             report = rank_features_for_attack(table_of(records), [ICMP], ForestParams(), seed=seed)[ICMP]
             assert report.ranking[0] == "Header Length", f"seed {seed}: {report.ranking[:3]}"
             assert report.scores["Header Length"] >= 0.9

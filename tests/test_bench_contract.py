@@ -30,11 +30,12 @@ def test_deep_csv_inputs_relabel_write_and_fit(tmp_path):
     for i in (0, 7, 119):
         record = table[i]
         table[i] = FlowRecord(features=record.features, label=ATTACK_LABELS[i % 4])
-        assert table[i] == FlowRecord(features=record.features, label=ATTACK_LABELS[i % 4])
+        assert table[i].features.tobytes() == record.features.tobytes()
+        assert table[i].label is ATTACK_LABELS[i % 4]
     path = tmp_path / "flows.csv"
     write_dataset(table, path)
     loaded, _ = load_dataset(path)
-    assert list(loaded) == list(table)
+    assert [(r.features.tobytes(), r.label) for r in loaded] == [(r.features.tobytes(), r.label) for r in table]
     target = [1.0 if r.label is ATTACK_LABELS[0] else 0.0 for r in table]
     params = ForestParams(num_trees=1, max_depth=12, min_samples_leaf=5, bootstrap=True)
     forest = fit_forest(table, target, params=params, seed=3)

@@ -664,8 +664,10 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "record",
-        ['[1]', 'not json', '{"Rate": "abc"}', '{"Rate": "nan"}', '{"Rate": null}', '{"nonsense": 1.0}'],
-        ids=["not-an-object", "not-json", "string-value", "nan-value", "null-value", "unknown-feature"],
+        ['[1]', 'not json', '{"Rate": "abc"}', '{"Rate": "nan"}', '{"Rate": null}', '{"nonsense": 1.0}',
+         '{"IAT": "5"}', '{"Rate": true}', '{"Rate": 1' + "0" * 400 + '}'],
+        ids=["not-an-object", "not-json", "string-value", "nan-value", "null-value", "unknown-feature",
+             "numeric-string", "bool-value", "int-past-float-range"],
     )
     def test_detect_rejects_malformed_record(self, tmp_path, capsys, record):
         code = run_cli("detect", "--record", record, "--backend", "rule-oracle", "--out", str(tmp_path))
@@ -674,6 +676,13 @@ class TestPipelines:
         assert report["error"]["kind"] == "config"
         assert "--record" in report["error"]["message"]
         assert not list(tmp_path.glob("run-*"))  # rejected before the run lock is taken
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_detect_names_the_non_finite_record_value(self, tmp_path, capsys, value):
+        record = '{"Rate": 450.0, "IAT": ' + value + "}"
+        assert run_cli("detect", "--record", record, "--backend", "rule-oracle", "--out", str(tmp_path)) == 2
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]["message"]
+        assert "'IAT'" in message and "finite" in message
 
     @pytest.mark.parametrize(
         "line,problem",

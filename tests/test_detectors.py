@@ -25,12 +25,12 @@ from kbforge.detectors import (
     load_replay_store,
 )
 from kbforge.evaluation import evaluate
-from kbforge.flow_data import ATTACK_LABELS, LABELS, AttackLabel
+from kbforge.flow_data import ATTACK_LABELS, FEATURE_INDEX, LABELS, AttackLabel
 from kbforge.kb_builder import Constraint, ConstraintKind, StructuredKb, structured_kb
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.prompting import record_digest
 
-from conftest import make_record, table_of
+from conftest import feature_value, make_record, table_of
 
 KB = structured_kb(tuple(REFERENCE_PROFILES.values()))
 
@@ -40,7 +40,7 @@ def oracle_verdict(record, kb, config=RuleOracleConfig()):
 
 
 def reference_credit(record, constraint) -> float:
-    value = record.features[constraint.feature]
+    value = feature_value(record, constraint.feature)
     if constraint.kind is ConstraintKind.MANDATORY_EQUALS:
         return 1.0 if abs(value - constraint.a) <= constraint.b else 0.0
     if constraint.kind is ConstraintKind.IN_RANGE:
@@ -151,9 +151,9 @@ class TestRuleOracle:
     @staticmethod
     def broken_icmp_flow():
         """The ICMP flow with its mandatory protocol rule failed."""
-        features = dict(icmp_flow().features)
-        features["Protocol Type"] = 2.0
-        return make_record(AttackLabel.ICMP_FLOOD, **features)
+        flow = icmp_flow()
+        flow.features[FEATURE_INDEX["Protocol Type"]] = 2.0
+        return flow
 
     def test_mandatory_failure_zeroes_attack(self):
         icmp_only = StructuredKb(per_attack={AttackLabel.ICMP_FLOOD: KB.per_attack[AttackLabel.ICMP_FLOOD]})

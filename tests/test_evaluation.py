@@ -37,7 +37,7 @@ from kbforge.flow_data import ATTACK_LABELS, LABEL_CODES, LABELS, AttackLabel, F
 from kbforge.kb_builder import structured_kb
 from kbforge.synth_traffic import default_spec, generate_dataset
 
-from conftest import make_record, table_of
+from conftest import feature_value, make_record, table_of
 
 ICMP = AttackLabel.ICMP_FLOOD
 UDP = AttackLabel.UDP_FLOOD
@@ -245,11 +245,11 @@ class TestEvaluate:
 
             def classify(self, record, kb=None):
                 with self.lock:
-                    self.seen[tuple(record.features.values())] += 1
+                    self.seen[record.features.tobytes()] += 1
                 return oracle.classify(record, kb)
 
         records, _ = generate_dataset(default_spec(n_per_attack=150, jitter=0.3, seed=6))
-        every_record_once = collections.Counter(tuple(record.features.values()) for record in records)
+        every_record_once = collections.Counter(record.features.tobytes() for record in records)
         expected = evaluate(PerRow(oracle), records, workers=1).counts
         runs = []
 
@@ -310,7 +310,7 @@ class TestPredict:
             backend_id = "flaky"
 
             def classify(self, record, kb=None):
-                if record.features["Rate"] == 7.0:
+                if feature_value(record, "Rate") == 7.0:
                     raise TransportError("timed out")
                 return AttackLabel.NORMAL
 

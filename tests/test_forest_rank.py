@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from kbforge import forest_rank
 from kbforge.cli import main
-from kbforge.flow_data import ATTACK_LABELS, FEATURES, LABEL_CODES, AttackLabel, FlowRecord, write_dataset
+from kbforge.flow_data import ATTACK_LABELS, FEATURE_INDEX, FEATURES, LABEL_CODES, AttackLabel, write_dataset
 from kbforge.forest_rank import (
     Forest,
     ForestParams,
@@ -49,7 +49,7 @@ def two_class_records(n=40, seed=0, informative="Min", low=1.0, high=9.0):
 
 def brute_force_single_split(records, targets):
     """Enumerate every (feature, threshold) pair; return the best SSE reduction."""
-    X = np.array([[r.features[f] for f in FEATURES] for r in records])
+    X = np.array([r.features for r in records])
     y = np.asarray(targets, dtype=float)
     sse_total = float(((y - y.mean()) ** 2).sum())
     best = (0.0, None, None)
@@ -152,7 +152,7 @@ def reference_grow_tree(
 
 
 def reference_fit_forest(records, targets, params, seed):
-    X = np.array([[r.features[name] for name in FEATURES] for r in records], dtype=np.float64)
+    X = np.array([r.features for r in records], dtype=np.float64)
     if np.unique(X, axis=0).shape[0] < 2:
         raise ValueError("need at least 2 distinct records to fit a forest")
     y = np.asarray(targets, dtype=np.float64)
@@ -544,6 +544,7 @@ class TestPresort:
         params = ForestParams(num_trees=3, max_depth=6, min_samples_leaf=1)
         fit_forest(table, targets, params, seed=2)
         record = table[0]  # a positive: Min no longer separates the classes alone
-        table[0] = FlowRecord({**record.features, "Min": 0.0}, record.label)
+        record.features[FEATURE_INDEX["Min"]] = 0.0
+        table[0] = record
         fresh = table_of(list(table))
         assert fit_forest(table, targets, params, seed=2) == fit_forest(fresh, targets, params, seed=2)

@@ -23,6 +23,8 @@ from kbforge.kb_builder import (
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.synth_traffic import SynthSpec, default_spec, generate_dataset
 
+from conftest import feature_value
+
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
@@ -242,7 +244,7 @@ class TestStructuredKb:
         for record in records:
             for constraint in kb.per_attack[record.label]:
                 if constraint.kind is ConstraintKind.IN_RANGE:
-                    assert constraint.a <= record.features[constraint.feature] <= constraint.b
+                    assert constraint.a <= feature_value(record, constraint.feature) <= constraint.b
 
 
 class TestOnePinnedRule:

@@ -15,7 +15,7 @@ from kbforge.profile import (
     profiles_to_json,
 )
 
-from conftest import make_record, table_of
+from conftest import feature_value, make_record, table_of
 
 
 def reference_build_attack_profile(records, attack, report, k):
@@ -24,7 +24,7 @@ def reference_build_attack_profile(records, attack, report, k):
     return AttackProfile(
         attack=attack,
         ranked_features=tuple(
-            compute_profile(name, [r.features[name] for r in rows]) for name in report.ranking[:k]
+            compute_profile(name, [feature_value(r, name) for r in rows]) for name in report.ranking[:k]
         ),
         k=k,
     )

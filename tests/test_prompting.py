@@ -1,11 +1,23 @@
 from __future__ import annotations
 
-import pytest
+import hashlib
+import json
 
-from kbforge.flow_data import AttackLabel
-from kbforge.kb_builder import KbVariant, canonical_kb
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kbforge.detectors import ReplayDetector, load_replay_store
+from kbforge.evaluation import predict
+from kbforge.flow_data import FEATURES, LABELS, AttackLabel, FlowTable, display_name
+from kbforge.kb_builder import KbVariant, canonical_kb, format_number
 from kbforge.prompting import (
+    _FLAG_ORDER,
+    _LABEL_PATTERNS,
+    _PROTOCOL_NAMES,
     INSTRUCTION,
+    KB_RELEVANT_FEATURES,
     LABEL_OPTIONS,
     OPTION_LIST,
     DescribeMode,
@@ -17,8 +29,68 @@ from kbforge.prompting import (
     rate_tag,
     record_digest,
 )
+from kbforge.synth_traffic import default_spec, generate_dataset
 
 from conftest import make_record
+
+
+def reference_describe_flow(features: dict[str, float], mode: DescribeMode) -> str:
+    """describe_flow as it read a record's features from a dict of floats."""
+    if mode is DescribeMode.NUMERIC:
+        return "\n".join(
+            f"- {display_name(name)}: {format_number(features[name])}" for name in KB_RELEVANT_FEATURES
+        )
+    protocol_value = features["Protocol Type"]
+    protocol = _PROTOCOL_NAMES.get(round(protocol_value), format_number(protocol_value))
+    rate = features["Rate"]
+    lines = [
+        f"- Protocol Type: {protocol}",
+        f"- Packet Rate: {format_number(rate)} packets/sec ({rate_tag(rate)})",
+        f"- Inter-Arrival Time (IAT): {iat_tag(features['IAT'])}",
+        "- TCP Flags:",
+    ]
+    for shown, feature in _FLAG_ORDER:
+        lines.append(f"    - {shown}: {flag_tag(features[feature])}")
+    return "\n".join(lines)
+
+
+def reference_record_digest(features: dict[str, float]) -> str:
+    """record_digest as it hashed a dict of floats."""
+    body = "\n".join(f"{name}={features[name]!r}" for name in FEATURES)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def reference_parse_response(text: str) -> AttackLabel:
+    """parse_response as one search per label: the earliest mention wins,
+    ties go to the first in LABEL_OPTIONS, and none is Unknown."""
+    best: tuple[int, int] | None = None
+    best_label = AttackLabel.UNKNOWN
+    for order, (label, pattern) in enumerate(_LABEL_PATTERNS):
+        match = pattern.search(text)
+        if match is not None and (best is None or (match.start(), order) < best):
+            best, best_label = (match.start(), order), label
+    return best_label
+
+
+#: Feature values: signed zeros, subnormals, the tags' thresholds and the
+#: protocol numbers, and finite floats of every magnitude, 1e-8 to 1e8 most.
+_VALUES = (
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 0.5, 100.0, 1e6, 1e7, 1.0, 6.0, 17.0, 6.5, 0.005, 0.015])
+    | st.floats(-1e8, 1e8)
+    | st.floats(1e-8, 1e-6) | st.floats(-1e-6, -1e-8)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_ROWS = st.lists(_VALUES, min_size=len(FEATURES), max_size=len(FEATURES))
+
+#: Pieces of answers: whole labels, their parts, separators, and decoys that
+#: hold a label's letters without naming it.
+_FRAGMENTS = [
+    *(label.render() for label in LABEL_OPTIONS),
+    "DDoS", "ddos-", "Flood", "flood", "ICMP", "UDP", "tcp", "PSH", "ACK", "RST", "FIN", "SYN",
+    "Synonymous", "IP", "Unknow", "unknown", "Normal", "NORMAL",
+    "abnormal", "Unknowns", "PSH ACK flood", "rst_fin", "SynonymousIP",
+    " ", "-", "_", "  ", ".", ",", "\n", "x",
+]
 
 
 def tcp_probe_record():
@@ -64,6 +136,28 @@ class TestDescribeFlow:
             assert rate_tag(value) in ("High", "Normal")
             assert iat_tag(value) in ("High", "Low", "Normal")
             assert flag_tag(value) in ("Elevated", "Normal")
+
+
+class TestAgainstDictReference:
+    @settings(max_examples=300, deadline=None)
+    @given(row=_ROWS)
+    @example(row=[-0.0] * len(FEATURES))
+    @example(row=[5e-324] * len(FEATURES))
+    def test_prompt_and_digest_equal_the_dict_reference(self, row):
+        (record,) = FlowTable(np.array([row]), np.full(1, -1, dtype=np.int8))
+        features = dict(zip(FEATURES, row))
+        for mode in DescribeMode:
+            assert describe_flow(record, mode) == reference_describe_flow(features, mode)
+        assert record_digest(record) == reference_record_digest(features)
+
+    def test_store_of_reference_digests_replays(self, tmp_path):
+        table, _ = generate_dataset(default_spec(n_per_attack=5, jitter=1.0, seed=4))
+        store = tmp_path / "long_kb.jsonl"
+        store.write_text("".join(
+            json.dumps({"digest": reference_record_digest(dict(zip(FEATURES, row))), "label": LABELS[code].render()})
+            + "\n" for row, code in zip(table.X.tolist(), table.codes.tolist())
+        ), encoding="utf-8")
+        assert predict(ReplayDetector(), table, load_replay_store(store)).tolist() == table.codes.tolist()
 
 
 class TestBuildPrompt:
@@ -131,3 +225,10 @@ class TestParseResponse:
     def test_first_occurrence_wins(self):
         text = "Either DDoS-PSHACK_Flood or DDoS-ICMP_Flood"
         assert parse_response(text) is AttackLabel.PSHACK_FLOOD
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+    @example("Unknown or Normal")
+    @example("PSH ACK flood, or abnormal")
+    def test_one_alternation_equals_a_search_per_label(self, text):
+        assert parse_response(text) is reference_parse_response(text)

@@ -4,12 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbforge.canonical import REFERENCE_PROFILES
 from kbforge.detectors import RuleOracleDetector
-from kbforge.flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord
+from kbforge.flow_data import ATTACK_LABELS, FEATURES, AttackLabel, FlowRecord, FlowTable
 from kbforge.kb_builder import structured_kb
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.synth_traffic import (
@@ -19,6 +19,8 @@ from kbforge.synth_traffic import (
     default_spec,
     generate_dataset,
 )
+
+from conftest import feature_value
 
 
 def reference_generate_flow(spec: SynthSpec, attack: AttackLabel, index: int) -> FlowRecord:
@@ -41,14 +43,14 @@ def reference_generate_flow(spec: SynthSpec, attack: AttackLabel, index: int) ->
         else:
             band = spec.background[name]
             pick = rng.random()
-            interior = rng.uniform(band.lo, band.hi)
+            interior = band.lo + (band.hi - band.lo) * rng.random()  # as Generator.uniform computes it
             if pick < band.lo_mass:
                 values[name] = band.lo
             elif pick > 1.0 - band.hi_mass:
                 values[name] = band.hi
             else:
-                values[name] = float(interior)
-    return FlowRecord(features=values, label=attack)
+                values[name] = interior
+    return FlowRecord(np.array([values[name] for name in FEATURES]), attack)
 
 
 def reference_dataset(spec: SynthSpec) -> tuple[np.ndarray, list[AttackLabel]]:
@@ -57,7 +59,12 @@ def reference_dataset(spec: SynthSpec) -> tuple[np.ndarray, list[AttackLabel]]:
         for profile in spec.profiles
         for index in range(spec.n_per_attack)
     ]
-    return np.array([[r.features[name] for name in FEATURES] for r in flows]), [r.label for r in flows]
+    return np.array([r.features for r in flows]), [r.label for r in flows]
+
+
+def same_rows(a: FlowTable, b: FlowTable) -> bool:
+    """Whether two tables hold the same values, bit for bit, and labels."""
+    return a.X.tobytes() == b.X.tobytes() and a.codes.tolist() == b.codes.tolist()
 
 
 def flows_of(spec: SynthSpec, attack: AttackLabel) -> list[FlowRecord]:
@@ -99,6 +106,11 @@ def synth_specs(draw):
 class TestAgainstPerFlowGenerator:
     @settings(max_examples=150, deadline=None)
     @given(spec=synth_specs())
+    @example(spec=SynthSpec(  # a band whose bounds are 0.0 and -0.0, which sorted() keeps in that order
+        profiles=(AttackProfile(AttackLabel.ICMP_FLOOD, (FeatureProfile("Min", 1.0, 2.0, 3.0),), k=1),),
+        n_per_attack=3, jitter=0.3, seed=1,
+        background={**DEFAULT_BACKGROUND, "Header Length": BackgroundBand(0.0, -0.0)},
+    ))
     def test_generate_dataset_equals_reference(self, spec):
         table, summary = generate_dataset(spec)
         reference, labels = reference_dataset(spec)
@@ -143,9 +155,9 @@ class TestGenerateFlow:
     def test_jitter_zero_is_median_exact(self):
         spec = default_spec(n_per_attack=1, jitter=0.0, seed=1)
         (flow,) = flows_of(spec, AttackLabel.ICMP_FLOOD)
-        assert flow.features["Protocol Type"] == 1.0
-        assert flow.features["ICMP"] == 1.0
-        assert flow.features["Min"] == 42.0
+        assert feature_value(flow, "Protocol Type") == 1.0
+        assert feature_value(flow, "ICMP") == 1.0
+        assert feature_value(flow, "Min") == 42.0
         assert flow.label is AttackLabel.ICMP_FLOOD
 
     def test_full_jitter_stays_inside_bounds(self):
@@ -153,21 +165,21 @@ class TestGenerateFlow:
         profile = REFERENCE_PROFILES[AttackLabel.UDP_FLOOD]
         for flow in flows_of(spec, AttackLabel.UDP_FLOOD):
             for fp in profile.ranked_features:
-                assert fp.min <= flow.features[fp.feature] <= fp.max
+                assert fp.min <= feature_value(flow, fp.feature) <= fp.max
 
     def test_deterministic_in_seed_attack_index(self):
         # Flow 17 depends on (seed, attack, index) only, not on how many flows are drawn.
         spec = default_spec(n_per_attack=19, jitter=0.4, seed=9)
         a = flows_of(spec, AttackLabel.TCP_FLOOD)
         b = flows_of(dataclasses.replace(spec, n_per_attack=40), AttackLabel.TCP_FLOOD)
-        assert a[17] == b[17]
-        assert a[17] != a[18]
+        assert a[17].features.tobytes() == b[17].features.tobytes()
+        assert a[17].features.tobytes() != a[18].features.tobytes()
 
     def test_background_respects_bands(self):
         spec = default_spec(n_per_attack=100, jitter=0.3, seed=5)
         band = spec.background["Header Length"]
         for flow in flows_of(spec, AttackLabel.ICMP_FLOOD):
-            assert band.lo <= flow.features["Header Length"] <= band.hi
+            assert band.lo <= feature_value(flow, "Header Length") <= band.hi
 
     def test_all_values_finite(self):
         table, _ = generate_dataset(default_spec(n_per_attack=5, jitter=1.0, seed=3))
@@ -186,13 +198,13 @@ class TestGenerateDataset:
         records, _ = generate_dataset(default_spec(n_per_attack=1, jitter=0.0, seed=0))
         assert len(records) == 4
         by_label = {r.label: r for r in records}
-        assert by_label[AttackLabel.UDP_FLOOD].features["Rate"] == 7480.80
+        assert feature_value(by_label[AttackLabel.UDP_FLOOD], "Rate") == 7480.80
 
     def test_pure_function_of_spec(self):
         spec = default_spec(n_per_attack=25, jitter=0.6, seed=11)
         first, _ = generate_dataset(spec)
         second, _ = generate_dataset(spec)
-        assert list(first) == list(second)
+        assert same_rows(first, second)
 
     def test_jitter_zero_oracle_round_trip(self):
         records, _ = generate_dataset(default_spec(n_per_attack=50, jitter=0.0, seed=6))
@@ -208,4 +220,4 @@ class TestGenerateDataset:
         write_dataset(records, path)
         loaded, summary = load_dataset(path)
         assert summary.record_count == 40
-        assert list(loaded) == list(records)
+        assert same_rows(loaded, records)
