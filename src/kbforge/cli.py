@@ -220,7 +220,7 @@ OVERRIDES = (
     ("data.synth.n_per_attack", None, "n_per_attack", int, "synthetic flows per attack"),
     ("data.synth.jitter", None, "jitter", float, "synthetic jitter in [0, 1]"),
     ("profiles_path", None, "profiles", str,
-     "attack-profiles JSON to drive synth/kb instead of the bundled table"),
+     "attack-profiles JSON to use instead of the bundled table (synthetic data, KBs, oracle)"),
 )
 
 
@@ -335,10 +335,14 @@ def _read_csv(path: str | Path, **options) -> flow_data.FlowTable:
 
 
 def _load_table(config: RunConfig) -> flow_data.FlowTable:
+    """The dataset's flows, else synthetic ones from the profiles file's (else the bundled) profiles."""
     dataset = config.data.dataset
     if dataset is None:
         from . import synth_traffic
-        table, _ = synth_traffic.generate_dataset(config.data.synth.spec(config.seed))
+        spec = config.data.synth.spec(config.seed)
+        if config.profiles_path:
+            spec = dataclasses.replace(spec, profiles=tuple(_read_profiles(config.profiles_path)))
+        table, _ = synth_traffic.generate_dataset(spec)
         return table
     return _read_csv(dataset.path, label_column=dataset.label_column)
 
@@ -451,10 +455,18 @@ def _parse_record(text: str) -> flow_data.FlowTable:
     gives; unlisted registry features are 0."""
     import numpy as np
     from . import flow_data
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        given = {}
+        for name, value in pairs:
+            if name in given:
+                raise ConfigError(f"--record names {name!r} more than once")
+            given[name] = value
+        return given
+
     try:
         # An integer reads as float() reads its digits, so one past float's
         # range is inf, and "+ 0.0" keeps "-0" the 0.0 its integer is.
-        given = json.loads(text, parse_int=lambda digits: float(digits) + 0.0)
+        given = json.loads(text, parse_int=lambda digits: float(digits) + 0.0, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--record is not valid JSON: {exc}") from None
     if not isinstance(given, dict):
@@ -514,15 +526,13 @@ def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> tuple[Path, lis
 
 
 def cmd_synth(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
-    from . import flow_data, synth_traffic
-    spec = config.data.synth.spec(config.seed)
-    if config.profiles_path:
-        spec = dataclasses.replace(spec, profiles=tuple(_read_profiles(config.profiles_path)))
-    table, summary = synth_traffic.generate_dataset(spec)
+    from . import flow_data
+    table = _load_table(config)
+    summary = json.dumps(flow_data.DatasetSummary.of(table).to_dict(), indent=2) + "\n"
     out = artifact_dir(config) / "synth"
     return out, [
         functools.partial(flow_data.write_dataset, table, out / "synth.csv"),
-        functools.partial(_write_text, out / "summary.json", json.dumps(summary.to_dict(), indent=2) + "\n"),
+        functools.partial(_write_text, out / "summary.json", summary),
     ]
 
 

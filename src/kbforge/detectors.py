@@ -82,8 +82,6 @@ class RuleOracleDetector:
     backend_id = "rule-oracle"
 
     def __init__(self, kb: StructuredKb, config: RuleOracleConfig = RuleOracleConfig()):
-        if not kb.per_attack:
-            raise ValueError("structured KB is empty")
         self.config = config
         # Every rule of the KB's flood attacks, in ATTACK_LABELS order, as five
         # bounds: a hit when lo <= value <= hi and |value - a| <= b, a near miss
@@ -95,9 +93,9 @@ class RuleOracleDetector:
             ConstraintKind.MANDATORY_EQUALS: lambda a, b: (-np.inf, np.inf, a, b, -np.inf),
             ConstraintKind.TYPICAL_NEAR: lambda a, b: (-np.inf, np.inf, a, b, 2.0 * b),
         }
-        attacks = [attack for attack in ATTACK_LABELS if attack in kb.per_attack]
-        rules = [rule for attack in attacks for rule in kb.per_attack[attack]]
-        sizes = [len(kb.per_attack[attack]) for attack in attacks]
+        attacks = [attack for attack in ATTACK_LABELS if attack in kb]
+        rules = [rule for attack in attacks for rule in kb[attack]]
+        sizes = [len(kb[attack]) for attack in attacks]
         self._member = np.eye(len(attacks))[np.repeat(np.arange(len(attacks)), sizes)]
         self._size = np.array(sizes, dtype=float)
         self._codes = np.array([LABEL_CODES[attack] for attack in attacks], dtype=np.intp)

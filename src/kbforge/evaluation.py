@@ -179,8 +179,12 @@ class EvaluationGrid:
 
     @staticmethod
     def from_json(text: str) -> "EvaluationGrid":
+        """The grid of a to_json text; a cell value of another JSON type than to_json's raises TypeError."""
         grid = EvaluationGrid()
         for row in json.loads(text)["cells"]:
+            for key, types in (("accuracy", (int, float)), ("n", (int,)), ("backend_id", (str,))):
+                if type(row[key]) not in types:
+                    raise TypeError(f"{key} must be of type {types[-1].__name__}, not {row[key]!r}")
             grid.set(
                 canonicalize_label(row["attack"]),
                 KbConfig(row["kb_config"]),
@@ -190,16 +194,13 @@ class EvaluationGrid:
         return grid
 
 
-def grid_from_reference(
-    table: dict[str, dict[AttackLabel, tuple[float, float, float]]], n_per_cell: int = 500
-) -> EvaluationGrid:
-    """Build a grid from a {model: {attack: (no, long, short)}} table."""
+def grid_from_reference(table: dict[str, dict[AttackLabel, tuple[float, float, float]]]) -> EvaluationGrid:
+    """Build a grid from a {model: {attack: (no, long, short)}} table; every cell reports n = 500."""
     grid = EvaluationGrid()
     for backend_id, per_attack in table.items():
-        for attack, (no_kb, long_kb, short_kb) in per_attack.items():
-            grid.set(attack, KbConfig.NO_KB, backend_id, Cell(no_kb, n_per_cell))
-            grid.set(attack, KbConfig.LONG_KB, backend_id, Cell(long_kb, n_per_cell))
-            grid.set(attack, KbConfig.SHORT_KB, backend_id, Cell(short_kb, n_per_cell))
+        for attack, accuracies in per_attack.items():
+            for config, accuracy in zip((KbConfig.NO_KB, KbConfig.LONG_KB, KbConfig.SHORT_KB), accuracies):
+                grid.set(attack, config, backend_id, Cell(accuracy, 500))
     return grid
 
 

@@ -150,12 +150,16 @@ class FlowTable:
     """A set of flows as one float64 matrix ``X[n, len(FEATURES)]`` in
     registry order and an int8 array ``codes[n]`` of label codes.
 
-    This is the one place flow values are checked: every value is finite
-    when the table is built, and a row assigned to it must be a finite row
-    of len(FEATURES) values. Rows read, iterate and assign as FlowRecords.
+    The one place flow values are checked: dtypes, shapes and finite values
+    when the table is built, and a finite row of len(FEATURES) values when
+    one is assigned. Rows read, iterate and assign as FlowRecords.
     """
 
     def __init__(self, X: np.ndarray, codes: np.ndarray):
+        if (X.dtype != np.float64 or X.shape[1:] != (len(FEATURES),)
+                or codes.dtype != np.int8 or codes.shape != X.shape[:1]):
+            raise ValueError(f"a flow table's X is float64 of shape (n, {len(FEATURES)}) and its codes int8 of "
+                             f"shape (n,), not {X.dtype} {X.shape} and {codes.dtype} {codes.shape}")
         if not np.isfinite(X).all():
             raise ValueError("non-finite feature value in flow table")
         self.X = X
@@ -337,13 +341,13 @@ def load_dataset(
     return table, DatasetSummary.of(table, skipped + int(np.count_nonzero(~finite)))
 
 
-def write_dataset(table: FlowTable, path: str | Path, *, label_column: str = "label") -> None:
-    """Write flows to CSV in registry order; floats use repr so a reload is bit-exact."""
+def write_dataset(table: FlowTable, path: str | Path) -> None:
+    """Write flows to CSV in registry order, then "label"; floats use repr so a reload is bit-exact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([*FEATURES, label_column])
+        writer.writerow([*FEATURES, "label"])
         for row, code in zip(table.X, table.codes.tolist()):
             writer.writerow([*map(repr, row.tolist()), LABELS[code].render() if code >= 0 else ""])
 

@@ -24,13 +24,6 @@ class KnowledgeBase:
     variant: KbVariant
     entries: dict[AttackLabel, str]
 
-    def __post_init__(self) -> None:
-        for label, text in self.entries.items():
-            if not text:
-                raise ValueError(f"empty KB entry for {label.render()}")
-            if "\r" in text:
-                raise ValueError("KB entries must be LF-normalized")
-
     def combined_text(self) -> str:
         ordered = [self.entries[a] for a in ATTACK_LABELS if a in self.entries]
         joiner = "\n\n" if self.variant is KbVariant.LONG else "\n"
@@ -55,12 +48,8 @@ def _attack_display(attack: AttackLabel) -> str:
 
 def render_long_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) -> KnowledgeBase:
     """Render detailed per-attack entries: one bullet per ranked feature."""
-    if not profiles:
-        raise ValueError("no profiles to render")
     entries: dict[AttackLabel, str] = {}
     for profile in profiles:
-        if not profile.ranked_features:
-            raise ValueError(f"profile for {profile.attack.render()} has no features")
         lines = [
             f"If the attack is {_attack_display(profile.attack)}, "
             "it should exhibit the following characteristics:"
@@ -99,7 +88,7 @@ def _separation(a: FeatureProfile, b: FeatureProfile) -> float:
 
 
 def derive_key_features(
-    profiles: list[AttackProfile] | tuple[AttackProfile, ...], max_features: int = 3
+    profiles: list[AttackProfile] | tuple[AttackProfile, ...],
 ) -> dict[AttackLabel, tuple[tuple[str, str], ...]]:
     """Pick up to three features per attack whose ranges separate it best, each
     with its short-KB phrase: "has to be" for a pinned feature, else "High" or
@@ -129,7 +118,7 @@ def derive_key_features(
         scored.sort(key=lambda item: (-item[0], item[1]))
 
         keys = []
-        for score, _rank, feature, fp in scored[:max_features]:
+        for score, _rank, feature, fp in scored[:3]:
             shown = display_name(feature)
             peers = sorted(medians[feature])
             center = peers[(len(peers) - 1) // 2]
@@ -152,18 +141,11 @@ def render_short_kb(keys: dict[AttackLabel, tuple[tuple[str, str], ...]]) -> Kno
     Attacks without derived keys fall back to their bundled reference line so
     the short variant always covers all seven flood classes.
     """
-    entries: dict[AttackLabel, str] = {}
-    for attack in ATTACK_LABELS:
-        derived = keys.get(attack)
-        if derived is not None:
-            if not derived:
-                raise ValueError(f"no key phrases for {attack.render()}")
-            body = "; ".join(phrase for _, phrase in derived)
-            entries[attack] = f"{attack.render()}: {body}."
-        elif attack in SHORT_KB_TEXT:
-            entries[attack] = SHORT_KB_TEXT[attack]
-        else:
-            raise ValueError(f"short KB entry missing for {attack.render()}")
+    entries = {
+        attack: (f"{attack.render()}: {'; '.join(phrase for _, phrase in keys[attack])}."
+                 if attack in keys else SHORT_KB_TEXT[attack])
+        for attack in ATTACK_LABELS
+    }
     return KnowledgeBase(variant=KbVariant.SHORT, entries=entries)
 
 
@@ -193,16 +175,16 @@ class Constraint(NamedTuple):
     b: float
 
 
-@dataclass(frozen=True)
-class StructuredKb:
-    per_attack: dict[AttackLabel, tuple[Constraint, ...]]
+#: The rule oracle's KB: each profiled attack's constraints, in profile order.
+StructuredKb = dict[AttackLabel, tuple[Constraint, ...]]
 
-    def __post_init__(self) -> None:
-        for label, constraints in self.per_attack.items():
-            if all(c.kind is ConstraintKind.TYPICAL_NEAR for c in constraints):
-                raise ValueError(
-                    f"{label.render()} needs at least one mandatory or range constraint"
-                )
+
+def _rules(fp: FeatureProfile) -> tuple[Constraint, ...]:
+    """The constraints one profiled feature gives, as structured_kb says."""
+    if fp.is_constant:
+        return (Constraint(fp.feature, ConstraintKind.MANDATORY_EQUALS, fp.median, CONSTANT_TOLERANCE),)
+    return (Constraint(fp.feature, ConstraintKind.IN_RANGE, fp.min, fp.max),
+            Constraint(fp.feature, ConstraintKind.TYPICAL_NEAR, fp.median, 0.05 * (fp.max - fp.min)))
 
 
 def structured_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) -> StructuredKb:
@@ -211,33 +193,16 @@ def structured_kb(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) -> 
     Pinned features become exact-match constraints; ranged features get a
     range check plus a typical-value check at five percent of the range width.
     """
-    if not profiles:
-        raise ValueError("no profiles given")
-    per_attack: dict[AttackLabel, tuple[Constraint, ...]] = {}
-    for profile in profiles:
-        constraints: list[Constraint] = []
-        for fp in profile.ranked_features:
-            if fp.is_constant:
-                constraints.append(
-                    Constraint(fp.feature, ConstraintKind.MANDATORY_EQUALS, fp.median, CONSTANT_TOLERANCE)
-                )
-            else:
-                constraints.append(Constraint(fp.feature, ConstraintKind.IN_RANGE, fp.min, fp.max))
-                constraints.append(
-                    Constraint(fp.feature, ConstraintKind.TYPICAL_NEAR, fp.median, 0.05 * (fp.max - fp.min))
-                )
-        per_attack[profile.attack] = tuple(constraints)
-    return StructuredKb(per_attack=per_attack)
+    return {p.attack: tuple(rule for fp in p.ranked_features for rule in _rules(fp)) for p in profiles}
 
 
 def structured_kb_to_json(kb: StructuredKb) -> str:
-    payload = {}
-    for label in ATTACK_LABELS:
-        if label in kb.per_attack:
-            payload[label.render()] = [
-                {"feature": c.feature, "kind": c.kind.value,
-                 **({"lo": c.a, "hi": c.b} if c.kind is ConstraintKind.IN_RANGE
-                    else {"value": c.a, "tolerance": c.b})}
-                for c in kb.per_attack[label]
-            ]
+    payload = {
+        label.render(): [
+            {"feature": c.feature, "kind": c.kind.value,
+             **({"lo": c.a, "hi": c.b} if c.kind is ConstraintKind.IN_RANGE else {"value": c.a, "tolerance": c.b})}
+            for c in kb[label]
+        ]
+        for label in ATTACK_LABELS if label in kb
+    }
     return json.dumps(payload, indent=2) + "\n"

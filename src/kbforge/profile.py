@@ -113,25 +113,38 @@ def profiles_to_json(profiles: list[AttackProfile] | tuple[AttackProfile, ...]) 
 
 
 def profiles_from_json(text: str) -> list[AttackProfile]:
-    """The profiles of a profiles_to_json list. An entry that lacks a key,
-    names no attack label or profiles a feature outside the registry raises
-    ValueError naming its index."""
-    out = []
-    for index, entry in enumerate(json.loads(text)):
+    """The profiles of a profiles_to_json list, checked here once for every
+    consumer. An entry that lacks a key, names no attack label or an earlier
+    entry's, lists no features or one outside the registry, or holds a k or
+    a statistic of another JSON type than profiles_to_json writes (a boolean
+    is no number) raises ValueError naming its index, as does text that holds
+    no JSON list."""
+    entries = json.loads(text)
+    if type(entries) is not list:
+        raise ValueError(f"profiles must be a JSON list, not {type(entries).__name__}")
+    out: list[AttackProfile] = []
+    for index, entry in enumerate(entries):
         try:
             attack = canonicalize_label(entry["attack"])
             if attack is AttackLabel.UNKNOWN:
                 raise ValueError(f"attack {entry['attack']!r} matches no attack label")
+            if any(p.attack is attack for p in out):
+                raise ValueError(f"attack {attack.render()} is named by an earlier entry")
+            if not entry["features"]:
+                raise ValueError("the entry lists no features")
+            if type(entry["k"]) is not int:
+                raise ValueError(f"k must be a JSON integer, not {entry['k']!r}")
             unknown = [f["feature"] for f in entry["features"] if f["feature"] not in FEATURE_INDEX]
             if unknown:
                 raise ValueError(f"features outside the registry: {unknown}")
-            ranked = tuple(
-                FeatureProfile(feature=f["feature"], min=f["min"], median=f["median"], max=f["max"])
-                for f in entry["features"]
-            )
-            out.append(AttackProfile(attack=attack, ranked_features=ranked, k=entry["k"]))
+            bad = [f["feature"] for f in entry["features"]
+                   if any(type(f[key]) not in (int, float) for key in ("min", "median", "max"))]
+            if bad:
+                raise ValueError(f"min, median and max must be JSON numbers (no booleans) for {bad}")
+            ranked = tuple(FeatureProfile(f["feature"], f["min"], f["median"], f["max"]) for f in entry["features"])
+            out.append(AttackProfile(attack, ranked, entry["k"]))
         except KeyError as exc:
             raise ValueError(f"entry {index}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"entry {index}: {exc}") from None
     return out

@@ -45,6 +45,31 @@ def no_env_overrides(monkeypatch):
             monkeypatch.delenv(name, raising=False)
 
 
+def grid_of(**cell) -> str:
+    """A grid.json text of one short_kb cell, with `cell`'s values in place of its own."""
+    row = {"attack": "DDoS-UDP_Flood", "kb_config": "short_kb", "backend_id": "m", "accuracy": 0.9, "n": 5}
+    return json.dumps({"cells": [{**row, **cell}]})
+
+
+#: A profiles-file feature entry, and one per-entry problem for each rule of the profiles file.
+RATE = {"feature": "Rate", "min": 0.0, "median": 1.0, "max": 2.0}
+BAD_PROFILE_ENTRIES = {
+    "missing-key": ({"attack": "DDoS-ICMP_Flood", "k": 1}, "missing key 'features'"),
+    "unknown-attack": ({"attack": "Bogus", "k": 1, "features": []}, "'Bogus' matches no attack label"),
+    "unknown-feature": ({"attack": "DDoS-ICMP_Flood", "k": 1, "features": [{**RATE, "feature": "Bogus"}]},
+                        "['Bogus']"),
+    "no-features": ({"attack": "DDoS-SYN_Flood", "k": 1, "features": []}, "lists no features"),
+    "repeated-attack": ({"attack": "UDP_Flood", "k": 1, "features": [RATE]},
+                        "DDoS-UDP_Flood is named by an earlier entry"),
+    "k-float": ({"attack": "DDoS-ICMP_Flood", "k": 10.5, "features": [RATE]}, "k must be a JSON integer"),
+    "k-bool": ({"attack": "DDoS-ICMP_Flood", "k": True, "features": [RATE]}, "k must be a JSON integer"),
+    "min-bool": ({"attack": "DDoS-ICMP_Flood", "k": 1, "features": [{**RATE, "min": True}]},
+                 "must be JSON numbers (no booleans) for ['Rate']"),
+    "max-past-float-range": ({"attack": "DDoS-ICMP_Flood", "k": 1, "features": [{**RATE, "max": 10 ** 400}]},
+                             "too large"),
+}
+
+
 def run_cli(*argv: str) -> int:
     return main(list(argv))
 
@@ -204,8 +229,13 @@ class TestValidation:
         [("{not json", "JSONDecodeError"),
          (json.dumps({"cells": [{"attack": "DDoS-UDP_Flood", "backend_id": "m", "accuracy": 1.0, "n": 5}]}),
           "KeyError: 'kb_config'"),
-         ('{"cells": []}', "it lists no cells")],
-        ids=["not-json", "cell-without-kb-config", "no-cells"],
+         ('{"cells": []}', "it lists no cells"),
+         (grid_of(accuracy=True), "TypeError: accuracy must be of type float, not True"),
+         (grid_of(n=2.5), "TypeError: n must be of type int, not 2.5"),
+         (grid_of(n=True), "TypeError: n must be of type int, not True"),
+         (grid_of(backend_id=7), "TypeError: backend_id must be of type str, not 7")],
+        ids=["not-json", "cell-without-kb-config", "no-cells", "accuracy-bool", "n-float", "n-bool",
+             "backend-id-number"],
     )
     def test_malformed_select_grid_exit_2_before_the_run_dir(self, tmp_path, capsys, text, problem):
         grid = tmp_path / "grid.json"
@@ -216,17 +246,8 @@ class TestValidation:
         assert f"bad grid file {grid}: {problem}" in report["error"]["message"]
         assert not list(tmp_path.glob("run-*"))
 
-    @pytest.mark.parametrize(
-        "entry,problem",
-        [
-            ({"attack": "DDoS-ICMP_Flood", "k": 1}, "missing key 'features'"),
-            ({"attack": "Bogus", "k": 1, "features": []}, "'Bogus' matches no attack label"),
-            ({"attack": "DDoS-ICMP_Flood", "k": 1,
-              "features": [{"feature": "Bogus", "min": 0.0, "median": 1.0, "max": 2.0}]}, "['Bogus']"),
-        ],
-        ids=["missing-key", "unknown-attack", "unknown-feature"],
-    )
-    @pytest.mark.parametrize("argv", [("synth",), ("eval",), ("kb", "build", "--generated")])
+    @pytest.mark.parametrize("entry,problem", BAD_PROFILE_ENTRIES.values(), ids=BAD_PROFILE_ENTRIES.keys())
+    @pytest.mark.parametrize("argv", [("synth",), ("eval",), ("kb", "build", "--generated"), ("rank", "--synth")])
     def test_bad_profiles_entry_exit_2_before_any_work(self, tmp_path, capsys, entry, problem, argv):
         profiles = tmp_path / "profiles.json"
         good = json.loads(profiles_to_json([REFERENCE_PROFILES[AttackLabel.UDP_FLOOD]]))
@@ -569,6 +590,21 @@ class TestPipelines:
                        "--profiles", str(profiles), "--out", str(tmp_path / "k")) == 0
         assert (artifact_root(tmp_path / "k") / "kb" / "long" / "combined.txt").exists()
 
+    def test_profiles_file_drives_the_synth_data_of_rank_and_eval(self, tmp_path):
+        profiles = tmp_path / "profiles.json"
+        two = [REFERENCE_PROFILES[AttackLabel.ICMP_FLOOD], REFERENCE_PROFILES[AttackLabel.UDP_FLOOD]]
+        profiles.write_text(profiles_to_json(two), encoding="utf-8")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"forest": {"num_trees": 2}}), encoding="utf-8")
+        flags = ("--synth", "--profiles", str(profiles), "--n-per-attack", "20", "--config", str(config))
+        assert run_cli("rank", *flags, "--out", str(tmp_path / "r")) == 0
+        assert sorted(p.name for p in (artifact_root(tmp_path / "r") / "rank").iterdir()) == [
+            f"importance_{attack}.{ext}" for attack in ("DDoS-ICMP_Flood", "DDoS-UDP_Flood") for ext in ("csv", "json")
+        ]
+        assert run_cli("eval", *flags, "--n-per-class", "5", "--out", str(tmp_path / "e")) == 0
+        grid = json.loads((artifact_root(tmp_path / "e") / "eval" / "grid.json").read_text(encoding="utf-8"))
+        assert {cell["attack"] for cell in grid["cells"]} == {"DDoS-ICMP_Flood", "DDoS-UDP_Flood"}
+
     def test_detect_single_record(self, tmp_path, capsys):
         record = {"Protocol Type": 1.0, "ICMP": 1.0, "Min": 42.0, "Magnitude": 9.17,
                   "AVG": 42.0, "Tot sum": 441.0, "Max": 42.0, "Tot size": 42.0,
@@ -665,9 +701,9 @@ class TestPipelines:
     @pytest.mark.parametrize(
         "record",
         ['[1]', 'not json', '{"Rate": "abc"}', '{"Rate": "nan"}', '{"Rate": null}', '{"nonsense": 1.0}',
-         '{"IAT": "5"}', '{"Rate": true}', '{"Rate": 1' + "0" * 400 + '}'],
+         '{"IAT": "5"}', '{"Rate": true}', '{"Rate": 1' + "0" * 400 + '}', '{"Rate": 1, "Rate": 500}'],
         ids=["not-an-object", "not-json", "string-value", "nan-value", "null-value", "unknown-feature",
-             "numeric-string", "bool-value", "int-past-float-range"],
+             "numeric-string", "bool-value", "int-past-float-range", "repeated-key"],
     )
     def test_detect_rejects_malformed_record(self, tmp_path, capsys, record):
         code = run_cli("detect", "--record", record, "--backend", "rule-oracle", "--out", str(tmp_path))

@@ -26,7 +26,7 @@ from kbforge.detectors import (
 )
 from kbforge.evaluation import evaluate
 from kbforge.flow_data import ATTACK_LABELS, FEATURE_INDEX, LABELS, AttackLabel
-from kbforge.kb_builder import Constraint, ConstraintKind, StructuredKb, structured_kb
+from kbforge.kb_builder import Constraint, ConstraintKind, structured_kb
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.prompting import record_digest
 
@@ -54,7 +54,7 @@ def reference_credit(record, constraint) -> float:
 def reference_scores(record, kb, config):
     """The per-record, per-constraint oracle, one constraint at a time."""
     scores = {}
-    for attack, constraints in kb.per_attack.items():
+    for attack, constraints in kb.items():
         if not constraints:
             continue
         credit = 0.0
@@ -99,14 +99,14 @@ def oracle_cases(draw, rows: int = 1):
             profiles.append(AttackProfile(attack, tuple(stats), k=len(stats)))
         kb = structured_kb(profiles)
     edges = {0.0}
-    for constraints in kb.per_attack.values():
+    for constraints in kb.values():
         for c in constraints:
             if c.kind is ConstraintKind.IN_RANGE:
                 edges |= {c.a, c.b}
             else:
                 edges |= {c.a, c.a + c.b, c.a - 2.0 * c.b, c.a + 1.5 * c.b, c.a + 3.0 * c.b}
     value = st.sampled_from(sorted(edges)) | st.floats(-1e8, 1e8, allow_nan=False)
-    read = sorted({c.feature for constraints in kb.per_attack.values() for c in constraints})
+    read = sorted({c.feature for constraints in kb.values() for c in constraints})
     records = [make_record(None, **{name: draw(value) for name in read}) for _ in range(rows)]
     config = RuleOracleConfig(min_score=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
     return records, kb, config
@@ -144,9 +144,8 @@ class TestRuleOracle:
     def test_all_zero_flow_is_unknown(self):
         assert oracle_verdict(make_record(None), KB) is AttackLabel.UNKNOWN
 
-    def test_empty_kb_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_verdict(icmp_flow(), StructuredKb(per_attack={}))
+    def test_kb_without_flood_attacks_classifies_unknown(self):
+        assert oracle_verdict(icmp_flow(), {}) is AttackLabel.UNKNOWN
 
     @staticmethod
     def broken_icmp_flow():
@@ -156,7 +155,7 @@ class TestRuleOracle:
         return flow
 
     def test_mandatory_failure_zeroes_attack(self):
-        icmp_only = StructuredKb(per_attack={AttackLabel.ICMP_FLOOD: KB.per_attack[AttackLabel.ICMP_FLOOD]})
+        icmp_only = {AttackLabel.ICMP_FLOOD: KB[AttackLabel.ICMP_FLOOD]}
         flow = self.broken_icmp_flow()
         # Scored exactly 0: it meets a threshold of 0 and misses the least one above.
         assert oracle_verdict(flow, icmp_only, RuleOracleConfig(min_score=0.0)) is AttackLabel.ICMP_FLOOD
@@ -165,7 +164,7 @@ class TestRuleOracle:
         assert oracle_verdict(flow, KB) is AttackLabel.UNKNOWN
 
     def test_mandatory_lenient_mode_keeps_partial_credit(self):
-        rules = KB.per_attack[AttackLabel.ICMP_FLOOD]
+        rules = KB[AttackLabel.ICMP_FLOOD]
         # Every rule but the failed one holds: the score is (n - 1) / n.
         partial = (len(rules) - 1) / len(rules)
         flow = self.broken_icmp_flow()
@@ -177,14 +176,12 @@ class TestRuleOracle:
         assert oracle_verdict(flow, KB, strict) is AttackLabel.UNKNOWN
 
     def test_typical_near_half_credit(self):
-        kb = StructuredKb(
-            per_attack={
-                AttackLabel.UDP_FLOOD: (
-                    Constraint("Rate", ConstraintKind.IN_RANGE, 0.0, 100.0),
-                    Constraint("Rate", ConstraintKind.TYPICAL_NEAR, 50.0, 10.0),
-                )
-            }
-        )
+        kb = {
+            AttackLabel.UDP_FLOOD: (
+                Constraint("Rate", ConstraintKind.IN_RANGE, 0.0, 100.0),
+                Constraint("Rate", ConstraintKind.TYPICAL_NEAR, 50.0, 10.0),
+            )
+        }
         # 65 lies within twice the tolerance of 50, 95 beyond it. Each score is
         # met as a threshold, and the next threshold up is missed.
         for rate, score in ((50.0, 1.0), (65.0, 0.75), (95.0, 0.5)):

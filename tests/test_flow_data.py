@@ -17,6 +17,7 @@ from kbforge.flow_data import (
     DatasetError,
     DatasetSummary,
     FlowRecord,
+    FlowTable,
     canonicalize_label,
     load_dataset,
     stratified_sample,
@@ -170,6 +171,21 @@ class TestFlowTable:
             table[1] = FlowRecord(np.array(row), AttackLabel.ICMP_FLOOD)
         assert table.X.tobytes() == before[0].tobytes()
         assert table.codes.tolist() == before[1].tolist()
+
+    @pytest.mark.parametrize(
+        "X,codes",
+        [
+            (np.zeros((2, 31)), np.zeros(2, np.int8)),
+            (np.zeros((2, 32)), np.zeros(3, np.int8)),
+            (np.zeros((2, 32)), np.zeros(2)),
+            (np.zeros((2, 32), np.float32), np.zeros(2, np.int8)),
+            (np.zeros(32), np.zeros(1, np.int8)),
+        ],
+        ids=["31-columns", "3-codes-for-2-rows", "float-codes", "float32-X", "1-d-X"],
+    )
+    def test_construction_rejects_a_bad_shape_or_dtype(self, X, codes):
+        with pytest.raises(ValueError, match="a flow table's"):
+            FlowTable(X, codes)
 
     def test_rows_read_as_copies(self):
         table = table_of([make_record(AttackLabel.UDP_FLOOD, Min=2.5)])

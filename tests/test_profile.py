@@ -189,6 +189,12 @@ class TestProfileSerialization:
         again = profiles_from_json(profiles_to_json([profile]))
         assert again == [profile]
 
+    @pytest.mark.parametrize("text", ['{"attack": "DDoS-ICMP_Flood", "k": 1, "features": []}', '"DDoS"', "3"],
+                             ids=["object", "string", "number"])
+    def test_a_file_that_holds_no_list_is_named_as_such(self, text):
+        with pytest.raises(ValueError, match="profiles must be a JSON list"):
+            profiles_from_json(text)
+
     def test_duplicate_features_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             AttackProfile(
