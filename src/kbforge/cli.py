@@ -237,7 +237,8 @@ def load(args: argparse.Namespace) -> RunConfig:
     """The run config: each value from its flag, else its KBFORGE_* variable,
     else the config file, else its field's default. The data source is the one
     a flag selects (--synth over --dataset), else the one the file names, else
-    synth; the file's values for that source are kept."""
+    synth; the file's values for that source are kept. A rank or profile of a
+    dataset has no profiles_path, so the file is neither read nor hashed."""
     raw: dict = {}
     if args.config:
         path = Path(args.config)
@@ -271,6 +272,9 @@ def load(args: argparse.Namespace) -> RunConfig:
         # A data source's values apply only when that source is in use.
         if value is not None and (keys[0] != "data" or keys[1] in data):
             _set_path(raw, dotted, value)
+    # rank and profile read a profiles file only to draw synthetic data.
+    if args.command in ("rank", "profile") and "dataset" in data:
+        raw.pop("profiles_path", None)
 
     try:
         config = from_dict(RunConfig, raw)
@@ -673,6 +677,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # Run as a program (the console script, python -m kbforge): once numpy
+        # loads, its OpenBLAS starts one worker thread per extra CPU, and
+        # kbforge's one BLAS call, the rule oracle's 128-row product, is too
+        # small to use them. numpy is not loaded yet, since this module loads
+        # none. A caller's own setting stands; main([...]) changes no environment.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     handlers = {
         "rank": cmd_rank,

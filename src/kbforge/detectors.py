@@ -201,16 +201,19 @@ class LlmDetector:
     def _connection(self) -> http.client.HTTPConnection:
         """An idle connection the peer has not closed, else a new one.
 
-        An idle keep-alive socket that polls readable has seen the peer's
-        close (or bytes sent out of turn), so it is dropped before it can
-        fail a request and use up a retry.
+        An idle keep-alive socket with any poll event (readable, hung up or
+        in error) has seen the peer's close (or bytes sent out of turn), so it
+        is dropped before it can fail a request and use up a retry. poll,
+        unlike select, takes a descriptor of any number.
         """
         import select
 
         with self._idle_lock:
             while self._idle:
                 conn = self._idle.pop()
-                if not select.select([conn.sock], [], [], 0)[0]:
+                poller = select.poll()
+                poller.register(conn.sock, select.POLLIN)
+                if not poller.poll(0):
                     return conn
                 conn.close()
         # http.client sets TCP_NODELAY on connect, so the body it writes after

@@ -179,18 +179,18 @@ class EvaluationGrid:
 
     @staticmethod
     def from_json(text: str) -> "EvaluationGrid":
-        """The grid of a to_json text; a cell value of another JSON type than to_json's raises TypeError."""
+        """The grid of a to_json text. A cell value of another JSON type than
+        to_json's raises TypeError; an attack that matches no label (Normal
+        and Unknown are labels) or a cell an earlier row gave, ValueError."""
         grid = EvaluationGrid()
         for row in json.loads(text)["cells"]:
             for key, types in (("accuracy", (int, float)), ("n", (int,)), ("backend_id", (str,))):
                 if type(row[key]) not in types:
                     raise TypeError(f"{key} must be of type {types[-1].__name__}, not {row[key]!r}")
-            grid.set(
-                canonicalize_label(row["attack"]),
-                KbConfig(row["kb_config"]),
-                row["backend_id"],
-                Cell(accuracy=row["accuracy"], n=row["n"]),
-            )
+            key = (canonicalize_label(row["attack"], strict=True), KbConfig(row["kb_config"]), row["backend_id"])
+            if key in grid.cells:
+                raise ValueError(f"cell ({key[0].render()}, {key[1].value}, {key[2]}) is repeated")
+            grid.set(*key, Cell(accuracy=row["accuracy"], n=row["n"]))
         return grid
 
 

@@ -132,9 +132,13 @@ for _label in AttackLabel:
 _LABEL_LOOKUP["unknow"] = AttackLabel.UNKNOWN
 
 
-def canonicalize_label(raw: str) -> AttackLabel:
-    """Map a raw label string to an AttackLabel; unmatched input is Unknown."""
-    return _LABEL_LOOKUP.get(_normalize(raw), AttackLabel.UNKNOWN)
+def canonicalize_label(raw: str, strict: bool = False) -> AttackLabel:
+    """Map a raw label string to an AttackLabel; unmatched input is Unknown,
+    or with strict a ValueError."""
+    label = _LABEL_LOOKUP.get(_normalize(raw))
+    if label is None and strict:
+        raise ValueError(f"attack {raw!r} matches no label")
+    return label or AttackLabel.UNKNOWN
 
 
 class FlowRecord(NamedTuple):

@@ -45,10 +45,13 @@ def no_env_overrides(monkeypatch):
             monkeypatch.delenv(name, raising=False)
 
 
-def grid_of(**cell) -> str:
-    """A grid.json text of one short_kb cell, with `cell`'s values in place of its own."""
+def grid_of(extra: dict | None = None, **cell) -> str:
+    """A grid.json text of one short_kb cell, with `cell`'s values in place of
+    its own; given `extra`, a second row of the cell's defaults and `extra`'s
+    values goes first."""
     row = {"attack": "DDoS-UDP_Flood", "kb_config": "short_kb", "backend_id": "m", "accuracy": 0.9, "n": 5}
-    return json.dumps({"cells": [{**row, **cell}]})
+    rows = [{**row, **cell}] if extra is None else [{**row, **extra}, {**row, **cell}]
+    return json.dumps({"cells": rows})
 
 
 #: A profiles-file feature entry, and one per-entry problem for each rule of the profiles file.
@@ -233,9 +236,11 @@ class TestValidation:
          (grid_of(accuracy=True), "TypeError: accuracy must be of type float, not True"),
          (grid_of(n=2.5), "TypeError: n must be of type int, not 2.5"),
          (grid_of(n=True), "TypeError: n must be of type int, not True"),
-         (grid_of(backend_id=7), "TypeError: backend_id must be of type str, not 7")],
+         (grid_of(backend_id=7), "TypeError: backend_id must be of type str, not 7"),
+         (grid_of(attack="DDoS-ICMP_Flod"), "ValueError: attack 'DDoS-ICMP_Flod' matches no label"),
+         (grid_of(attack="UDP_Flood", extra={}), "ValueError: cell (DDoS-UDP_Flood, short_kb, m) is repeated")],
         ids=["not-json", "cell-without-kb-config", "no-cells", "accuracy-bool", "n-float", "n-bool",
-             "backend-id-number"],
+             "backend-id-number", "attack-unmatched", "cell-repeated"],
     )
     def test_malformed_select_grid_exit_2_before_the_run_dir(self, tmp_path, capsys, text, problem):
         grid = tmp_path / "grid.json"
@@ -605,6 +610,26 @@ class TestPipelines:
         grid = json.loads((artifact_root(tmp_path / "e") / "eval" / "grid.json").read_text(encoding="utf-8"))
         assert {cell["attack"] for cell in grid["cells"]} == {"DDoS-ICMP_Flood", "DDoS-UDP_Flood"}
 
+    @pytest.mark.parametrize("command", ["rank", "profile"])
+    def test_a_dataset_run_neither_reads_nor_hashes_the_profiles_file(self, tmp_path, command):
+        table, _ = generate_dataset(default_spec(n_per_attack=20, jitter=0.3, seed=1))
+        flows = tmp_path / "flows.csv"
+        write_dataset(table, flows)
+        good = tmp_path / "good.json"
+        good.write_text(profiles_to_json([REFERENCE_PROFILES[AttackLabel.UDP_FLOOD]]), encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"attack": 1, "k": 1, "features": []}]), encoding="utf-8")
+        forest = {"forest": {"num_trees": 2}}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(forest), encoding="utf-8")
+        in_file = tmp_path / "bad-in-file.json"
+        in_file.write_text(json.dumps({**forest, "profiles_path": str(bad)}), encoding="utf-8")
+        out = tmp_path / "out"
+        for flags in (("--config", str(config)), ("--config", str(config), "--profiles", str(good)),
+                      ("--config", str(config), "--profiles", str(bad)), ("--config", str(in_file))):
+            assert run_cli(command, "--dataset", str(flows), *flags, "--out", str(out)) == 0
+        assert (artifact_root(out) / command).is_dir()
+
     def test_detect_single_record(self, tmp_path, capsys):
         record = {"Protocol Type": 1.0, "ICMP": 1.0, "Min": 42.0, "Magnitude": 9.17,
                   "AVG": 42.0, "Tot sum": 441.0, "Max": 42.0, "Tot size": 42.0,
@@ -860,9 +885,11 @@ class TestDependencies:
     )
 
     @staticmethod
-    def fresh_python(code: str, *args: str, cwd: Path | None = None):
-        """The JSON value on the last stdout line of `python -c code args`."""
-        env = {**os.environ, "PYTHONPATH": str(Path(kbforge.__file__).resolve().parents[1])}
+    def fresh_python(code: str, *args: str, cwd: Path | None = None, env: dict[str, str | None] | None = None):
+        """The JSON value on the last stdout line of `python -c code args`, run
+        in this environment updated by `env`, where a None value unsets."""
+        env = {**os.environ, "PYTHONPATH": str(Path(kbforge.__file__).resolve().parents[1]), **(env or {})}
+        env = {name: value for name, value in env.items() if value is not None}
         result = subprocess.run(
             [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=60
         )
@@ -910,6 +937,40 @@ class TestDependencies:
         argv = ["eval", "--config", "c.json", "--out", "out"]
         assert self.fresh_python(self.RUN_MAIN, *argv, cwd=tmp_path) == [2, ["kbforge.cli", "kbforge.params"], False]
         assert not (tmp_path / "out").exists()
+
+    #: Runs `select --reference` (which loads numpy) as a program, by the
+    #: console script's call or as `python -m kbforge`, then prints its exit
+    #: code, the process's thread count and its OPENBLAS_NUM_THREADS.
+    AS_PROGRAM = {
+        "console-script": "from kbforge.cli import main\ncode = main()\n",
+        "python-m": (
+            "import runpy\n"
+            "try:\n"
+            "    runpy.run_module('kbforge', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+        ),
+    }
+    REPORT = (
+        "import json, os\n"
+        "print(json.dumps([code, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS')]))"
+    )
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or not Path("/proc/self/task").is_dir(),
+                        reason="OpenBLAS starts no worker thread on one CPU; or no /proc/self/task to count")
+    @pytest.mark.parametrize("entry", AS_PROGRAM.keys())
+    @pytest.mark.parametrize("given,threads,kept", [(None, 1, "1"), ("2", 2, "2")], ids=["unset", "caller-2"])
+    def test_a_program_run_starts_one_blas_thread_unless_the_caller_says(self, tmp_path, entry, given, threads,
+                                                                         kept):
+        code = self.AS_PROGRAM[entry] + self.REPORT
+        argv = ["select", "--reference", "--out", "out"]
+        result = self.fresh_python(code, *argv, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": given})
+        assert result == [0, threads, kept]
+
+    def test_an_in_process_main_leaves_the_environment_alone(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run_cli("select", "--reference", "--out", str(tmp_path)) == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     @pytest.mark.parametrize(
         "module,name",

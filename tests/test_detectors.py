@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import resource
 import socket
 import time
 from email.utils import formatdate
@@ -369,6 +371,29 @@ class TestLlmDetector:
         assert result is AttackLabel.NORMAL
         assert len(keep_alive_server.requests) == 2
         assert keep_alive_server.connections_opened == 2
+
+    def test_kept_alive_connection_on_a_descriptor_past_1023_is_reused(self, keep_alive_server):
+        # select.select takes no descriptor of 1024 or more; the idle check must not use it.
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if hard != resource.RLIM_INFINITY and hard < 1100:
+            pytest.skip(f"the hard RLIMIT_NOFILE, {hard}, leaves no room past descriptor 1023")
+        if soft != resource.RLIM_INFINITY and soft < 1100:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+        filler: list[int] = []
+        detector = LlmDetector(self._config(keep_alive_server))
+        try:
+            while not filler or filler[-1] < 1023:  # the next descriptor is at least 1024
+                filler.append(os.open(os.devnull, os.O_RDONLY))
+            assert detector.classify(icmp_flow()) is AttackLabel.NORMAL
+            assert detector._idle[0].sock.fileno() >= 1024
+            assert detector.classify(icmp_flow()) is AttackLabel.NORMAL
+        finally:
+            detector.close()
+            for fd in filler:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert len(keep_alive_server.requests) == 2
+        assert keep_alive_server.connections_opened == 1
 
     def test_latency_covers_every_attempt_and_backoff(self, stub_server, llm_detector):
         stub_server.set_script(

@@ -327,6 +327,14 @@ class TestGrid:
         assert again.cells == grid.cells
         assert EvaluationGrid.from_json(again.to_json()).to_json() == grid.to_json()
 
+    def test_json_round_trip_keeps_normal_and_unknown_rows(self):
+        grid = EvaluationGrid()
+        for attack, accuracy in ((AttackLabel.NORMAL, 0.75), (AttackLabel.UNKNOWN, 0.0), (AttackLabel.UDP_FLOOD, 1.0)):
+            grid.set(attack, KbConfig.SHORT_KB, "m", Cell(accuracy, 4))
+        again = EvaluationGrid.from_json(grid.to_json())
+        assert again.cells == grid.cells
+        assert again.to_json() == grid.to_json()
+
     def test_render_layout(self):
         grid = grid_from_reference({"m": REFERENCE_ACCURACY["llama3.1:8b"]})
         text, csv_text, json_text = render_table(grid)
