@@ -5,14 +5,15 @@ RunConfig. Each value comes from its flag, else its KBFORGE_* environment
 variable, else the config file, else its field's default; OVERRIDES lists
 every value a flag or a variable can set. A field's annotation is the JSON
 type its value must have and its section's __post_init__ checks its range, so
-a bad config exits before any data is loaded. Artifacts land under
-<out>/run-<config digest>/ so a re-run with identical config and seed
-overwrites identical bytes, while a changed config gets a fresh directory.
+a bad config exits before any data is loaded.
 
-Each subcommand reads its inputs and computes every artifact, then returns
-its output directory and the calls that write them; main takes the run lock
-only around those calls, so a run that fails before its writes leaves no run
-directory.
+main names the run: its artifacts land under <out>/run-<digest>/<command>/,
+where the digest hashes the config and the command's input flags
+(INPUT_FLAGS), so a re-run with identical config, seed and inputs overwrites
+identical bytes, while a changed config or input gets a fresh directory. Each
+subcommand reads its inputs and computes every artifact, then returns the
+calls that write them there; main takes the run lock only around those calls,
+so a run that fails before its writes leaves no run directory.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import fcntl
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -199,6 +201,8 @@ def _from_json(tp, value, name: str):
         except ValueError:
             raise ValueError(f"{name} must be one of {[member.value for member in tp]}") from None
     if type(value) is tp or (tp is float and type(value) is int):
+        if type(value) is float and not math.isfinite(value):  # JSON's NaN and Infinity
+            raise ValueError(f"{name} must be a finite number")
         return value
     raise TypeError(f"{name} must be of type {tp.__name__}")
 
@@ -245,10 +249,10 @@ def load(args: argparse.Namespace) -> RunConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found, or not a file: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=params.unique_keys)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or a repeated key
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -290,13 +294,18 @@ def build_config(args: argparse.Namespace) -> dict:
     return load(args).to_dict()
 
 
-def config_digest(config: RunConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
+#: The flags that name a command's own input, which the run directory's name hashes.
+INPUT_FLAGS = ("input", "record", "grid", "reference")
 
 
-def artifact_dir(config: RunConfig) -> Path:
-    return Path(config.out) / f"run-{config_digest(config)}"
+def artifact_dir(config: RunConfig, inputs: dict | None = None) -> Path:
+    """<out>/run-<digest>, the digest hashing the config and, if any are
+    given, the command's input flags (a path as given)."""
+    named = config.to_dict()
+    if inputs:
+        named["inputs"] = inputs  # RunConfig has no field of that name
+    blob = json.dumps(named, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return Path(config.out) / f"run-{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
 class RunLock:
@@ -408,36 +417,32 @@ def _text_kb(config: RunConfig, kb_config: params.KbConfig, profiles) -> kb_buil
 
 
 @contextlib.contextmanager
-def _detector(config: RunConfig, profiles):
-    """The run's one detector, closed when the run is done with it."""
+def _detector(config: RunConfig, profiles, kb_configs):
+    """The run's one detector, closed when the run is done with it, and what
+    it classifies with under each KB configuration: nothing for the rule
+    oracle, which reads the structured KB it was built on; the KB text for the
+    LLM; <store_dir>/<kb_config>.jsonl for replay, each read before the
+    detector is built."""
     from . import detectors, kb_builder
     backend = config.backend
     if backend.kind == "rule-oracle":
+        kbs = [None] * len(kb_configs)
         detector = detectors.RuleOracleDetector(kb_builder.structured_kb(profiles), backend.rule_oracle)
     elif backend.kind == "llm":
+        kbs = [_text_kb(config, kb_config, profiles) for kb_config in kb_configs]
         detector = detectors.LlmDetector(backend.llm, mode=config.eval.mode)
     else:
+        stores = [Path(backend.replay.store_dir) / f"{kb_config.value}.jsonl" for kb_config in kb_configs]
+        for path in stores:
+            if not path.is_file():
+                raise ConfigError(f"replay store not found: {path}")
+        kbs = [detectors.load_replay_store(path) for path in stores]
         detector = detectors.ReplayDetector()
     try:
-        yield detector
+        yield detector, dict(zip(kb_configs, kbs))
     finally:
         if isinstance(detector, detectors.LlmDetector):
             detector.close()  # its idle keep-alive connections
-
-
-def _kb_input(config: RunConfig, kb_config: params.KbConfig, profiles):
-    """What the detector classifies with under a KB configuration: nothing for
-    the rule oracle, which reads the structured KB it was built on; the KB
-    text for the LLM; <store_dir>/<kb_config>.jsonl for replay."""
-    from . import detectors
-    if config.backend.kind == "rule-oracle":
-        return None
-    if config.backend.kind == "llm":
-        return _text_kb(config, kb_config, profiles)
-    path = Path(config.backend.replay.store_dir) / f"{kb_config.value}.jsonl"
-    if not path.is_file():
-        raise ConfigError(f"replay store not found: {path}")
-    return detectors.load_replay_store(path)
 
 
 def _read_grid(path: Path) -> evaluation.EvaluationGrid:
@@ -459,19 +464,11 @@ def _parse_record(text: str) -> flow_data.FlowTable:
     gives; unlisted registry features are 0."""
     import numpy as np
     from . import flow_data
-    def unique(pairs: list[tuple[str, object]]) -> dict:
-        given = {}
-        for name, value in pairs:
-            if name in given:
-                raise ConfigError(f"--record names {name!r} more than once")
-            given[name] = value
-        return given
-
     try:
         # An integer reads as float() reads its digits, so one past float's
         # range is inf, and "+ 0.0" keeps "-0" the 0.0 its integer is.
-        given = json.loads(text, parse_int=lambda digits: float(digits) + 0.0, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+        given = json.loads(text, parse_int=lambda digits: float(digits) + 0.0, object_pairs_hook=params.unique_keys)
+    except ValueError as exc:  # not JSON, or a repeated key
         raise ConfigError(f"--record is not valid JSON: {exc}") from None
     if not isinstance(given, dict):
         raise ConfigError("--record must be a JSON object of feature values")
@@ -487,8 +484,8 @@ def _parse_record(text: str) -> flow_data.FlowTable:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands. Each returns its output directory and the calls, made under
-# the run lock, that write its artifacts and print its result.
+# Subcommands. Each gets the output directory main named and returns the
+# calls, made under the run lock, that write its artifacts and print its result.
 # ---------------------------------------------------------------------------
 
 
@@ -497,50 +494,46 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def cmd_rank(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+def cmd_rank(config: RunConfig, args: argparse.Namespace, out: Path) -> list:
     from . import forest_rank
     reports = _rank_all(config, _load_table(config))
-    out = artifact_dir(config) / "rank"
-    return out, [
+    return [
         functools.partial(forest_rank.write_report, report, out / f"importance_{attack.render()}.json",
                           out / f"importance_{attack.render()}.csv")
         for attack, report in reports.items()
     ]
 
 
-def cmd_profile(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+def cmd_profile(config: RunConfig, args: argparse.Namespace, out: Path) -> list:
     from . import profile as profile_mod
     profiles = _build_profiles(config, _load_table(config))
-    out = artifact_dir(config) / "profile"
-    return out, [functools.partial(_write_text, out / "profiles.json", profile_mod.profiles_to_json(profiles))]
+    return [functools.partial(_write_text, out / "profiles.json", profile_mod.profiles_to_json(profiles))]
 
 
-def cmd_kb_build(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+def cmd_kb_build(config: RunConfig, args: argparse.Namespace, out: Path) -> list:
     from . import flow_data, kb_builder
     profiles = _resolve_profiles(config)
     kbs = [_text_kb(config, kb_config, profiles) for kb_config in KB_VARIANTS[config.kb.variant]]
     structured = kb_builder.structured_kb_to_json(kb_builder.structured_kb(profiles))
-    out = artifact_dir(config) / "kb"
     texts = {out / "structured.json": structured}
     for kb in filter(None, kbs):
         texts.update((out / kb.variant.value / f"{attack.render()}.txt", kb.entries[attack] + "\n")
                      for attack in flow_data.ATTACK_LABELS if attack in kb.entries)
         texts[out / kb.variant.value / "combined.txt"] = kb.combined_text() + "\n"
-    return out, [functools.partial(_write_text, path, text) for path, text in texts.items()]
+    return [functools.partial(_write_text, path, text) for path, text in texts.items()]
 
 
-def cmd_synth(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+def cmd_synth(config: RunConfig, args: argparse.Namespace, out: Path) -> list:
     from . import flow_data
     table = _load_table(config)
     summary = json.dumps(flow_data.DatasetSummary.of(table).to_dict(), indent=2) + "\n"
-    out = artifact_dir(config) / "synth"
-    return out, [
+    return [
         functools.partial(flow_data.write_dataset, table, out / "synth.csv"),
         functools.partial(_write_text, out / "summary.json", summary),
     ]
 
 
-def cmd_detect(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+def cmd_detect(config: RunConfig, args: argparse.Namespace, out: Path) -> list:
     from . import evaluation, flow_data, prompting
     if args.record:
         table = _parse_record(args.record)
@@ -550,11 +543,11 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]
         table = _read_csv(args.input, require_labels=False)
     else:
         table = _load_table(config)
-    profiles = _resolve_profiles(config)
+    # Flows drawn from the run's data source are the data kb.source generated reads too.
+    profiles = _resolve_profiles(config, None if args.record or args.input else table)
     kb_config = KB_VARIANTS[config.kb.variant][0]
-    kb = _kb_input(config, kb_config, profiles)
-    with _detector(config, profiles) as detector:
-        predicted = evaluation.predict(detector, table, kb)
+    with _detector(config, profiles, (kb_config,)) as (detector, kbs):
+        predicted = evaluation.predict(detector, table, kbs[kb_config])
     text = "".join(
         json.dumps({
             "digest": prompting.record_digest(record),
@@ -565,11 +558,10 @@ def cmd_detect(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]
         }) + "\n"
         for record, code in zip(table, predicted.tolist())
     )
-    out = artifact_dir(config) / "detect"
-    return out, [functools.partial(_write_text, out / "results.jsonl", text), functools.partial(print, text, end="")]
+    return [functools.partial(_write_text, out / "results.jsonl", text), functools.partial(print, text, end="")]
 
 
-def cmd_eval(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+def cmd_eval(config: RunConfig, args: argparse.Namespace, out: Path) -> list:
     from . import evaluation, flow_data
     table = _load_table(config)
     sample = flow_data.stratified_sample(table, n_per_class=config.eval.n_per_class, seed=config.seed)
@@ -577,15 +569,12 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
         source = config.data.dataset.path if config.data.dataset else "the synthetic dataset"
         raise RuntimeError(f"no records to evaluate in {source}")
     profiles = _resolve_profiles(config, table)
-    kb_configs = config.eval.kb_configs
-    kb_inputs = [_kb_input(config, kb_config, profiles) for kb_config in kb_configs]
-    out = artifact_dir(config) / "eval"
     grid = evaluation.EvaluationGrid()
     writes = []
-    with _detector(config, profiles) as detector:
+    with _detector(config, profiles, config.eval.kb_configs) as (detector, kbs):
         # A file-name stem: a model id may hold ':' or '/'.
         stem = re.sub(r"[^A-Za-z0-9._-]", "_", detector.backend_id)
-        for kb_config, kb in zip(kb_configs, kb_inputs):
+        for kb_config, kb in kbs.items():
             cm = evaluation.evaluate(
                 detector,
                 sample,
@@ -598,10 +587,10 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
             for attack, cell in evaluation.per_class_cells(cm).items():
                 grid.set(attack, kb_config, detector.backend_id, cell)
     writes.append(lambda: print(evaluation.write_grid_artifacts(grid, out), end=""))
-    return out, writes
+    return writes
 
 
-def cmd_select(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]:
+def cmd_select(config: RunConfig, args: argparse.Namespace, out: Path) -> list:
     from . import canonical, evaluation
     if args.reference:
         grid = evaluation.grid_from_reference(canonical.REFERENCE_ACCURACY)
@@ -611,8 +600,7 @@ def cmd_select(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]
     payload = {backend_id: {attack.render(): cfg.value for attack, cfg in choice.items()}
                for backend_id, choice in best.items()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = artifact_dir(config) / "select"
-    return out, [
+    return [
         functools.partial(_write_text, out / "best_kb.json", text),
         functools.partial(print, text, end=""),
     ]
@@ -623,13 +611,17 @@ def cmd_select(config: RunConfig, args: argparse.Namespace) -> tuple[Path, list]
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_command(parent, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand's parser, with the flags every subcommand takes; main runs `handler`."""
+    parser = parent.add_parser(name, help=help_text)
+    parser.set_defaults(handler=handler)
     parser.add_argument("--config", help="path to a JSON run configuration")
     parser.add_argument(
         "--synth", action="store_true", help="use the synthetic data source (sizes: flags, then the file)"
     )
-    for _, _, dest, cast, help_text in OVERRIDES:
-        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast, help=help_text)
+    for _, _, dest, cast, flag_help in OVERRIDES:
+        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast, help=flag_help)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,19 +631,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("rank", "rank features per attack with the forest regressor"),
-        ("profile", "compute per-attack feature profiles from ranked features"),
-        ("synth", "generate a synthetic labeled flow CSV"),
-        ("eval", "run the detector grid across KB configurations"),
+    for name, handler, help_text in (
+        ("rank", cmd_rank, "rank features per attack with the forest regressor"),
+        ("profile", cmd_profile, "compute per-attack feature profiles from ranked features"),
+        ("synth", cmd_synth, "generate a synthetic labeled flow CSV"),
+        ("eval", cmd_eval, "run the detector grid across KB configurations"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
+        _add_command(sub, name, handler, help_text)
 
     kb = sub.add_parser("kb", help="knowledge-base commands")
     kb_sub = kb.add_subparsers(dest="kb_command", required=True)
-    build = kb_sub.add_parser("build", help="write long/short KB files")
-    _add_common_flags(build)
+    build = _add_command(kb_sub, "build", cmd_kb_build, "write long/short KB files")
     source = build.add_mutually_exclusive_group()
     source.add_argument("--canonical", dest="kb_source", action="store_const", const="canonical",
                         help="use the bundled KB texts")
@@ -659,8 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="render KBs from the data")
     build.add_argument("--variant", dest="kb", help="KB variant to build, as --kb")
 
-    detect = sub.add_parser("detect", help="classify one record or a CSV of records")
-    _add_common_flags(detect)
+    detect = _add_command(sub, "detect", cmd_detect, "classify one record or a CSV of records")
     flows = detect.add_mutually_exclusive_group()
     flows.add_argument("--input", help="CSV file of flows to classify")
     flows.add_argument(
@@ -668,8 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inline JSON object of feature values; unlisted registry features default to 0",
     )
 
-    select = sub.add_parser("select", help="pick the best KB configuration per attack")
-    _add_common_flags(select)
+    select = _add_command(sub, "select", cmd_select, "pick the best KB configuration per attack")
     grid = select.add_mutually_exclusive_group()
     grid.add_argument("--grid", help="path to a grid.json produced by eval")
     grid.add_argument("--reference", action="store_true", help="use the bundled reference accuracy grid")
@@ -685,19 +673,12 @@ def main(argv: list[str] | None = None) -> int:
         # none. A caller's own setting stands; main([...]) changes no environment.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    handlers = {
-        "rank": cmd_rank,
-        "profile": cmd_profile,
-        "synth": cmd_synth,
-        "detect": cmd_detect,
-        "eval": cmd_eval,
-        "select": cmd_select,
-        "kb": cmd_kb_build,
-    }
     try:
         config = load(args)
-        out, writes = handlers[args.command](config, args)
-        with RunLock(artifact_dir(config)):
+        inputs = {flag: getattr(args, flag) for flag in INPUT_FLAGS if getattr(args, flag, None)}
+        out = artifact_dir(config, inputs) / args.command
+        writes = args.handler(config, args, out)
+        with RunLock(out.parent):
             for write in writes:
                 write()
         print(f"artifacts: {out}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .flow_data import (
     FlowTable,
     canonicalize_label,
 )
-from .params import KbConfig
+from .params import KbConfig, unique_keys
 
 if TYPE_CHECKING:
     from .detectors import Detector
@@ -180,10 +180,11 @@ class EvaluationGrid:
     @staticmethod
     def from_json(text: str) -> "EvaluationGrid":
         """The grid of a to_json text. A cell value of another JSON type than
-        to_json's raises TypeError; an attack that matches no label (Normal
-        and Unknown are labels) or a cell an earlier row gave, ValueError."""
+        to_json's raises TypeError; an object that repeats a key, an attack
+        that matches no label (Normal and Unknown are labels) or a cell an
+        earlier row gave, ValueError."""
         grid = EvaluationGrid()
-        for row in json.loads(text)["cells"]:
+        for row in json.loads(text, object_pairs_hook=unique_keys)["cells"]:
             for key, types in (("accuracy", (int, float)), ("n", (int,)), ("backend_id", (str,))):
                 if type(row[key]) not in types:
                     raise TypeError(f"{key} must be of type {types[-1].__name__}, not {row[key]!r}")

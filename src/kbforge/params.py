@@ -1,12 +1,25 @@
 """Value types of the run config, with no numpy: the CLI parses and checks a
 config on these alone. The pipeline modules import them, so names such as
-`forest_rank.ForestParams` and `detectors.LlmEndpointConfig` give these classes."""
+`forest_rank.ForestParams` and `detectors.LlmEndpointConfig` give these classes.
+`unique_keys` is the one repeated-key check of JSON read from outside."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from urllib.parse import urlsplit
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`json.loads`'s object_pairs_hook for JSON read from outside: the object
+    as a dict, or ValueError naming a key it repeats (plain json.loads keeps
+    the last value)."""
+    given = {}
+    for key, value in pairs:
+        if key in given:
+            raise ValueError(f"an object repeats the key {key!r}")
+        given[key] = value
+    return given
 
 
 @dataclass(frozen=True)

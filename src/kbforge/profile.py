@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .flow_data import FEATURE_INDEX, AttackLabel, FlowTable, canonicalize_label
+from .params import unique_keys
 
 if TYPE_CHECKING:
     from .forest_rank import ImportanceReport
@@ -117,9 +118,9 @@ def profiles_from_json(text: str) -> list[AttackProfile]:
     consumer. An entry that lacks a key, names no attack label or an earlier
     entry's, lists no features or one outside the registry, or holds a k or
     a statistic of another JSON type than profiles_to_json writes (a boolean
-    is no number) raises ValueError naming its index, as does text that holds
-    no JSON list."""
-    entries = json.loads(text)
+    is no number) raises ValueError naming its index; so does text that holds
+    no JSON list, or an object that repeats a key, naming that."""
+    entries = json.loads(text, object_pairs_hook=unique_keys)
     if type(entries) is not list:
         raise ValueError(f"profiles must be a JSON list, not {type(entries).__name__}")
     out: list[AttackProfile] = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import fcntl
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -205,21 +206,31 @@ class TestValidation:
             (None, ("eval", "--backend", "replay")),
             ({"kb": {"variant": "short"}}, ("detect", "--backend", "replay")),
             (None, ("select",)),
+            ({"backend": {"llm": {"temperature": math.inf}}}, ("eval", "--backend", "llm")),
+            ({"backend": {"llm": {"request_timeout_s": math.inf}}}, ("eval", "--backend", "llm")),
+            ('{"seed": 1, "seed": 2}', ("synth",)),
+            (None, ("synth", "--profiles", "repeated.json")),
         ],
         ids=["num-trees-0", "jitter-2", "n-per-class-0", "max-retries-neg", "unknown-key",
              "backoff-not-a-key", "mode-case", "bootstrap-string", "synth-from-dataset",
              "no-kb-configs", "base-url-no-scheme", "detect-input-missing", "select-grid-missing",
              "workers-neg", "kb-configs-repeated", "synth-profiles-empty", "eval-profiles-empty",
-             "eval-replay-store-missing", "detect-replay-store-missing", "select-no-grid"],
+             "eval-replay-store-missing", "detect-replay-store-missing", "select-no-grid",
+             "temperature-inf", "timeout-inf", "seed-repeated", "profiles-key-repeated"],
     )
     def test_invalid_config_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, file_config, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.json").write_text("[]", encoding="utf-8")
+        # A profiles file that would be good, but for its entry's repeated "k".
+        good = profiles_to_json([REFERENCE_PROFILES[AttackLabel.UDP_FLOOD]])
+        (tmp_path / "repeated.json").write_text(good.replace('"k":', '"k": 1, "k":', 1), encoding="utf-8")
         out = tmp_path / "out"
         flags = ["--n-per-attack", "20", "--out", str(out)]
         if file_config is not None:
             config = tmp_path / "c.json"
-            config.write_text(json.dumps(file_config), encoding="utf-8")
+            # A string is the file's raw text.
+            config.write_text(file_config if isinstance(file_config, str) else json.dumps(file_config),
+                              encoding="utf-8")
             flags += ["--config", str(config)]
         assert run_cli(*argv, *flags) == 2
         report = json.loads(capsys.readouterr().err.strip().splitlines()[0])
@@ -238,9 +249,10 @@ class TestValidation:
          (grid_of(n=True), "TypeError: n must be of type int, not True"),
          (grid_of(backend_id=7), "TypeError: backend_id must be of type str, not 7"),
          (grid_of(attack="DDoS-ICMP_Flod"), "ValueError: attack 'DDoS-ICMP_Flod' matches no label"),
-         (grid_of(attack="UDP_Flood", extra={}), "ValueError: cell (DDoS-UDP_Flood, short_kb, m) is repeated")],
+         (grid_of(attack="UDP_Flood", extra={}), "ValueError: cell (DDoS-UDP_Flood, short_kb, m) is repeated"),
+         (grid_of().replace('"n": 5', '"n": 5, "n": 6'), "ValueError: an object repeats the key 'n'")],
         ids=["not-json", "cell-without-kb-config", "no-cells", "accuracy-bool", "n-float", "n-bool",
-             "backend-id-number", "attack-unmatched", "cell-repeated"],
+             "backend-id-number", "attack-unmatched", "cell-repeated", "key-repeated"],
     )
     def test_malformed_select_grid_exit_2_before_the_run_dir(self, tmp_path, capsys, text, problem):
         grid = tmp_path / "grid.json"
@@ -377,10 +389,11 @@ class TestConfigPrecedence:
             ({"KBFORGE_OUT": "env-out", "KBFORGE_KB": "short", "KBFORGE_KB_SOURCE": "generated",
               "KBFORGE_N_PER_CLASS": "30", "KBFORGE_BASE_URL": "http://10.0.0.2:8080"}, None,
              "eval --backend llm", "run-d7b414d73c43"),
+            ({}, None, "detect --out o", "run-eb0cf775cb6a"),
         ],
         ids=["synth", "eval-synth-flags", "eval-env", "rank-dataset", "kb-build", "readme-example",
              "bench-shallow-synth", "bench-deep-csv", "bench-llm-stub", "int-for-float", "profiles",
-             "dataset-label-column", "env-overrides"],
+             "dataset-label-column", "env-overrides", "detect"],
     )
     def test_run_dir_names_are_pinned(self, tmp_path, monkeypatch, no_env_overrides, env, file_config, argv,
                                       run_dir):
@@ -429,8 +442,10 @@ class TestDeterminism:
             ("synth",),
             ("eval", "--backend", "rule-oracle", "--n-per-class", "40"),
             ("detect", "--backend", "rule-oracle"),
+            ("detect", "--backend", "rule-oracle", "--record", '{"Rate": 5000.0, "IAT": 8.3e7}'),
         ],
-        ids=["rank", "profile", "kb-generated", "synth", "eval-rule-oracle", "detect-rule-oracle"],
+        ids=["rank", "profile", "kb-generated", "synth", "eval-rule-oracle", "detect-rule-oracle",
+             "detect-record"],
     )
     def test_two_runs_byte_identical(self, tmp_path, argv):
         common = ("--synth", "--n-per-attack", "60", "--seed", "11", "--jitter", "0.3")
@@ -451,6 +466,60 @@ class TestDeterminism:
         assert run_cli(*argv) == 0
         after = read_tree(artifact_root(tmp_path))
         assert before == after
+
+
+class TestRunDirectories:
+    """A command's input flags name its run directory along with the config,
+    so runs on different inputs keep their artifacts apart."""
+
+    @staticmethod
+    def run_dir(capsys) -> Path:
+        """The run directory the last run reported on stderr."""
+        return Path(capsys.readouterr().err.strip().splitlines()[-1].removeprefix("artifacts: ")).parent
+
+    def test_detect_keeps_each_input_apart(self, tmp_path, capsys):
+        table, _ = generate_dataset(default_spec(n_per_attack=2, jitter=0.3, seed=1))
+        flows = {}
+        for name, rows in (("a", [0, 1]), ("b", [2, 3])):
+            flows[name] = tmp_path / f"{name}.csv"
+            write_dataset(FlowTable(table.X[rows], table.codes[rows]), flows[name])
+        records = {"r1": '{"Rate": 1.0}', "r2": '{"Rate": 2.0}'}
+        argv = {
+            **{name: ("--input", str(path)) for name, path in flows.items()},
+            **{name: ("--record", record) for name, record in records.items()},
+        }
+        out = tmp_path / "out"
+
+        def detect(name: str) -> Path:
+            assert run_cli("detect", *argv[name], "--backend", "rule-oracle", "--out", str(out)) == 0
+            return self.run_dir(capsys)
+
+        runs = {name: detect(name) for name in argv}
+        assert len(set(runs.values())) == 4 and sorted(out.iterdir()) == sorted(runs.values())
+        digests = {name: [json.loads(line)["digest"] for line in
+                          (run / "detect" / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+                   for name, run in runs.items()}
+        assert digests["a"] == [record_digest(r) for r in FlowTable(table.X[:2], table.codes[:2])]
+        assert digests["b"] == [record_digest(r) for r in FlowTable(table.X[2:4], table.codes[2:4])]
+        assert digests["r1"] != digests["r2"]
+        # The same input again names the same directory and writes the same bytes.
+        before = read_tree(runs["a"])
+        assert detect("a") == runs["a"] and read_tree(runs["a"]) == before
+        assert len(list(out.iterdir())) == 4
+
+    def test_each_select_grid_has_its_own_run_dir(self, tmp_path):
+        out = tmp_path / "out"
+        flags = ("--backend", "rule-oracle", "--n-per-attack", "10", "--n-per-class", "3", "--out", str(out))
+        assert run_cli("eval", *flags) == 0
+        (eval_run,) = out.iterdir()
+        grid = tmp_path / "grid.json"
+        grid.write_text((eval_run / "eval" / "grid.json").read_text(encoding="utf-8"), encoding="utf-8")
+        for given in (("--reference",), ("--grid", str(grid)), ()):
+            assert run_cli("select", *given, *flags) == 0
+        runs = sorted(out.iterdir())
+        assert len(runs) == 3 and all((run / "select" / "best_kb.json").is_file() for run in runs)
+        # The default select reads its run's eval/grid.json and writes next to it.
+        assert sorted(p.name for p in eval_run.iterdir()) == [".lock", "eval", "select"]
 
 
 class TestPipelines:
@@ -640,6 +709,20 @@ class TestPipelines:
         line = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert line["predicted"] == "DDoS-ICMP_Flood"
         assert line["backend_id"] == "rule-oracle"
+
+    def test_detect_draws_its_synthetic_flows_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(spec):
+            calls.append(spec)
+            return generate_dataset(spec)
+
+        monkeypatch.setattr(synth_traffic, "generate_dataset", spy)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"forest": {"num_trees": 2}}), encoding="utf-8")
+        assert run_cli("detect", "--kb-source", "generated", "--n-per-attack", "20", "--config", str(config),
+                       "--out", str(tmp_path / "out")) == 0
+        assert len(calls) == 1
 
     def test_detect_llm_latency_spans_retry_and_backoff(self, tmp_path, capsys, stub_server):
         stub_server.set_script(
@@ -929,8 +1012,10 @@ class TestDependencies:
         assert stack.isdisjoint(loaded)
 
     @pytest.mark.parametrize(
-        "file_config", [{"forest": {"num_trees": 0}}, {"eval": {"mode": "Numeric"}}, {"kb": {"nope": 1}}],
-        ids=["out-of-range", "bad-enum", "unknown-key"],
+        "file_config",
+        [{"forest": {"num_trees": 0}}, {"eval": {"mode": "Numeric"}}, {"kb": {"nope": 1}},
+         {"backend": {"llm": {"temperature": math.nan}}}],
+        ids=["out-of-range", "bad-enum", "unknown-key", "non-finite"],
     )
     def test_bad_config_exits_2_before_numpy_loads(self, tmp_path, file_config):
         (tmp_path / "c.json").write_text(json.dumps(file_config), encoding="utf-8")
