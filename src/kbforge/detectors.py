@@ -15,7 +15,7 @@ import numpy as np
 
 from .flow_data import ATTACK_LABELS, FEATURE_INDEX, LABEL_CODES, LABELS, AttackLabel, FlowRecord, canonicalize_label
 from .kb_builder import ConstraintKind, KnowledgeBase, StructuredKb
-from .params import LlmEndpointConfig, RuleOracleConfig
+from .params import LlmEndpointConfig, RuleOracleConfig, unique_keys
 from .prompting import DescribeMode, build_prompt, parse_response, record_digest
 
 
@@ -36,10 +36,9 @@ class EndpointConnectionError(TransportError):
 
 
 class EndpointStatusError(TransportError):
-    def __init__(self, status: int, body: str = "", retry_after_s: float | None = None):
+    def __init__(self, status: int, retry_after_s: float | None = None):
         super().__init__(f"endpoint returned HTTP {status}")
         self.status = status
-        self.body = body
         #: Wait the endpoint asked for in a Retry-After header, in seconds from
         #: when the reply arrived (never negative).
         self.retry_after_s = retry_after_s
@@ -155,13 +154,32 @@ def _retry_after_s(header: str | None) -> float | None:
     return max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
 
 
+#: Each wire API: its path under base_url, its JSON request body for a prompt,
+#: and where the reply text sits in the decoded JSON response.
+_WIRE_APIS = {
+    "generate": (  # Ollama
+        "/api/generate",
+        lambda cfg, prompt: {"model": cfg.model_name, "prompt": prompt, "stream": False,
+                             "options": {"temperature": cfg.temperature}},
+        lambda reply: reply["response"],
+    ),
+    "chat": (  # chat completions
+        "/v1/chat/completions",
+        lambda cfg, prompt: {"model": cfg.model_name, "messages": [{"role": "user", "content": prompt}],
+                             "temperature": cfg.temperature},
+        lambda reply: reply["choices"][0]["message"]["content"],
+    ),
+}
+
+
 class LlmDetector:
     """POSTs prompts to a local-LLM endpoint and parses the reply to a label.
 
-    Transient failures (timeouts, connection errors, 429 and 5xx) are retried
-    with exponential backoff up to max_retries, or after the Retry-After the
-    endpoint sent, capped at request_timeout_s; other failures raise
-    immediately.
+    The request body is encoded once per classify call, and every attempt
+    sends those bytes. Transient failures (timeouts, connection errors, 429
+    and 5xx) are retried up to max_retries times, after backoff_base_s *
+    2**attempt or the Retry-After the endpoint sent, capped at
+    request_timeout_s; other failures raise immediately.
     At most max_in_flight classify calls reach the endpoint at once, and each
     holds one keep-alive connection, so at most max_in_flight connections are
     open. Call close() to drop the idle ones.
@@ -186,7 +204,7 @@ class LlmDetector:
         )
         self._host = url.hostname
         self._port = url.port or self._connection_class.default_port
-        endpoint = "/api/generate" if config.api == "generate" else "/v1/chat/completions"
+        endpoint, self._body, self._reply_text = _WIRE_APIS[config.api]
         self._path = url.path.rstrip("/") + endpoint
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
@@ -220,29 +238,13 @@ class LlmDetector:
         # the headers does not wait on the peer's delayed ACK.
         return self._connection_class(self._host, self._port, timeout=self.config.request_timeout_s)
 
-    def _request_once(self, prompt_text: str) -> str:
+    def _request_once(self, body: bytes) -> str:
         import http.client
 
-        cfg = self.config
-        if cfg.api == "generate":
-            body = {
-                "model": cfg.model_name,
-                "prompt": prompt_text,
-                "stream": False,
-                "options": {"temperature": cfg.temperature},
-            }
-        else:
-            body = {
-                "model": cfg.model_name,
-                "messages": [{"role": "user", "content": prompt_text}],
-                "temperature": cfg.temperature,
-            }
         conn = self._connection()
         reusable = False
         try:
-            conn.request(
-                "POST", self._path, json.dumps(body).encode(), {"Content-Type": "application/json"}
-            )
+            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
             response = conn.getresponse()
             raw = response.read()
             reusable = not response.will_close
@@ -257,47 +259,33 @@ class LlmDetector:
             else:
                 conn.close()
         if response.status != 200:
-            raise EndpointStatusError(
-                response.status,
-                raw.decode("utf-8", "replace")[:500],
-                _retry_after_s(response.getheader("Retry-After")),
-            )
+            raise EndpointStatusError(response.status, _retry_after_s(response.getheader("Retry-After")))
         try:
-            payload = json.loads(raw)
-            if cfg.api == "generate":
-                text = payload["response"]
-            else:
-                text = payload["choices"][0]["message"]["content"]
+            text = self._reply_text(json.loads(raw))
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointProtocolError(f"malformed response body: {exc}") from exc
         if not isinstance(text, str):
             raise EndpointProtocolError("response text field is not a string")
         return text
 
-    def _request_with_retries(self, prompt_text: str) -> str:
-        cfg = self.config
-        last: TransportError | None = None
-        for attempt in range(cfg.max_retries + 1):
-            try:
-                return self._request_once(prompt_text)
-            except (EndpointTimeout, EndpointConnectionError) as exc:
-                last = exc
-            except EndpointStatusError as exc:
-                if exc.status < 500 and exc.status != 429:
-                    raise  # client errors are not transient; 429 asks for a retry
-                last = exc
-            if attempt < cfg.max_retries:
-                delay = cfg.backoff_base_s * (2**attempt)
-                if isinstance(last, EndpointStatusError) and last.retry_after_s is not None:
-                    delay = min(last.retry_after_s, cfg.request_timeout_s)
-                time.sleep(delay)
-        assert last is not None
-        raise last
-
     def classify(self, record: FlowRecord, kb: KnowledgeBase | None = None) -> AttackLabel:
-        prompt = build_prompt(record, kb, self.mode)
+        cfg = self.config
+        body = json.dumps(self._body(cfg, build_prompt(record, kb, self.mode).text)).encode()
         with self._gate:
-            text = self._request_with_retries(prompt.text)
+            for attempt in range(cfg.max_retries + 1):
+                try:
+                    text = self._request_once(body)
+                    break
+                except EndpointStatusError as exc:
+                    if exc.status < 500 and exc.status != 429 or attempt == cfg.max_retries:
+                        raise  # client errors are not transient; 429 asks for a retry
+                    wait = exc.retry_after_s
+                except (EndpointTimeout, EndpointConnectionError):
+                    if attempt == cfg.max_retries:
+                        raise
+                    wait = None
+                # The last attempt breaks or raises, so nothing sleeps after it.
+                time.sleep(cfg.backoff_base_s * 2**attempt if wait is None else min(wait, cfg.request_timeout_s))
         return parse_response(text)
 
 
@@ -309,24 +297,32 @@ class LlmDetector:
 def load_replay_store(path: str | Path) -> dict[str, AttackLabel]:
     """Read a JSON-lines store of {digest, label} rows into a digest -> label
     map; other keys are ignored. A row that is not a JSON object with a
-    string digest and a string label raises DetectorError naming its file
-    and line."""
+    string digest and a string label, repeats a key, or gives a digest an
+    earlier row gave another label raises DetectorError naming its file and
+    line; a row that repeats an earlier one's digest and label is allowed."""
     store: dict[str, AttackLabel] = {}
+    first_line: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
+                row = json.loads(line, object_pairs_hook=unique_keys)
+            except ValueError as exc:  # a JSONDecodeError, or a key unique_keys saw twice
                 raise DetectorError(f"{path}:{number}: replay row is not valid JSON: {exc}") from None
             if not isinstance(row, dict):
                 raise DetectorError(f"{path}:{number}: replay row is not a JSON object")
             for key in ("digest", "label"):
                 if not isinstance(row.get(key), str):
                     raise DetectorError(f"{path}:{number}: replay row needs a string {key!r}")
-            store[row["digest"]] = canonicalize_label(row["label"])
+            digest, label = row["digest"], canonicalize_label(row["label"])
+            if store.setdefault(digest, label) is not label:
+                raise DetectorError(
+                    f"{path}:{number}: replay row gives digest {digest!r} the label {label.render()!r}, "
+                    f"but line {first_line[digest]} gave it {store[digest].render()!r}"
+                )
+            first_line.setdefault(digest, number)
     return store
 
 

@@ -9,8 +9,10 @@ is the threshold, so ``value <= threshold`` always splits at the boundary and
 neither child is empty. Ties in split score break by alphabetical feature
 name, then smaller threshold, which makes training fully deterministic for a
 fixed (row order, params, seed). Per-tree randomness comes only from the
-bootstrap resample, seeded with ``seed XOR tree_index`` through numpy's PCG64,
-a documented generator with stable streams across platforms.
+bootstrap resample: tree t draws from numpy's PCG64 seeded with
+``SeedSequence((seed, t))``, so every (seed, tree index) pair has a stream of
+its own, and PCG64 is a documented generator with stable streams across
+platforms.
 
 The search runs on a presorted column block (the "exact greedy" layout of
 XGBoost, Chen & Guestrin 2016). The table argsorts each column once, stably,
@@ -299,7 +301,7 @@ def fit_forest(
     trees: list[list[TreeNode]] = [[] for _ in range(k)]
     for t in range(params.num_trees):
         if params.bootstrap:
-            rng = np.random.Generator(np.random.PCG64(seed ^ t))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
             counts = np.ones(n, dtype=np.int64)

@@ -58,7 +58,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             body = json.loads(raw)
         except json.JSONDecodeError:
             body = raw.decode("utf-8", "replace")
-        self.server.requests.append({"path": self.path, "body": body})
+        self.server.requests.append(
+            {"path": self.path, "body": body, "raw": raw, "headers": list(self.headers.items())}
+        )
 
         script = self.server.script
         step = script[min(self.server.call_count, len(script) - 1)]

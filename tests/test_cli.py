@@ -836,13 +836,18 @@ class TestPipelines:
             ('{"response": null, "label": "Normal"}', "string 'digest'"),
             ('{"digest": "d", "response": null}', "string 'label'"),
             ('{"digest": "d", "response": null, "label": 3}', "string 'label'"),
+            ('{"digest": "d", "label": "Normal", "label": "DDoS-UDP_Flood"}', "repeats the key 'label'"),
+            # FIRST stands for the digest of line 1, whose label in this store is DDoS-UDP_Flood.
+            ('{"digest": "FIRST", "label": "Normal"}', "'Normal', but line 1 gave it 'DDoS-UDP_Flood'"),
         ],
-        ids=["invalid-json", "not-an-object", "no-digest", "no-label", "label-not-string"],
+        ids=["invalid-json", "not-an-object", "no-digest", "no-label", "label-not-string", "key-repeated",
+             "digest-relabelled"],
     )
     def test_eval_replay_malformed_store_row_names_file_and_line(self, tmp_path, capsys, line, problem):
         argv, _ = self._replay_eval(tmp_path)
         store = tmp_path / "stores" / "long_kb.jsonl"
         rows = store.read_text(encoding="utf-8").splitlines()
+        line = line.replace("FIRST", json.loads(rows[0])["digest"])
         store.write_text("\n".join([rows[0], "", line, *rows[1:]]) + "\n", encoding="utf-8")
         assert run_cli(*argv) == 1
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from kbforge.detectors import (
 )
 from kbforge.evaluation import evaluate
 from kbforge.flow_data import ATTACK_LABELS, FEATURE_INDEX, LABELS, AttackLabel
-from kbforge.kb_builder import Constraint, ConstraintKind, structured_kb
+from kbforge.kb_builder import Constraint, ConstraintKind, KbVariant, canonical_kb, structured_kb
 from kbforge.profile import AttackProfile, FeatureProfile
 from kbforge.prompting import record_digest
 
@@ -278,6 +279,50 @@ class TestLlmDetector:
         assert set(body) == {"model", "messages", "temperature"}
         assert body["messages"][0]["role"] == "user"
 
+    @pytest.mark.parametrize(
+        "api,kb,prefix,path,sha256,length",
+        [
+            ("generate", None, "", "/api/generate",
+             "425d30ed7583b226f7abd90c3d9f872560243dc6f094bd1c72e9d65c549a6d85", 587),
+            ("generate", KbVariant.LONG, "/ollama/", "/ollama/api/generate",
+             "97db5db2d681684760fb692073778306d56e945c874f17c76d5da5aed2d74f00", 4093),
+            ("chat", None, "", "/v1/chat/completions",
+             "2da4cbd06f9e81f8ec43a4d5737a40cda1e37fe89fd74f0fe764e5f83867ca96", 590),
+            ("chat", KbVariant.LONG, "/proxy", "/proxy/v1/chat/completions",
+             "cddbdb4848ae5e536cfbfff1126e8f5a80bcc939fc8a402c8011960021c9af45", 4096),
+        ],
+        ids=["generate-no-kb", "generate-long-kb-prefix", "chat-no-kb", "chat-long-kb-prefix"],
+    )
+    def test_request_bytes_are_pinned(
+        self, stub_server, llm_detector, api, kb, prefix, path, sha256, length
+    ):
+        # One reply that both APIs can read.
+        stub_server.set_script([{"status": 200, "json": {
+            "response": "Normal", "choices": [{"message": {"content": "Normal"}}]}}])
+        config = self._config(stub_server, base_url=stub_server.base_url + prefix, api=api)
+        knowledge = None if kb is None else canonical_kb(kb)
+        assert llm_detector(config).classify(icmp_flow(), knowledge) is AttackLabel.NORMAL
+        (request,) = stub_server.requests
+        host, port = stub_server.server.server_address
+        assert request["path"] == path
+        assert request["headers"] == [
+            ("Host", f"{host}:{port}"),
+            ("Accept-Encoding", "identity"),
+            ("Content-Length", str(length)),
+            ("Content-Type", "application/json"),
+        ]
+        assert len(request["raw"]) == length
+        assert hashlib.sha256(request["raw"]).hexdigest() == sha256
+
+    def test_a_retry_sends_the_same_bytes(self, stub_server, llm_detector):
+        stub_server.set_script(
+            [{"status": 503, "raw": "busy"}, {"status": 200, "json": {"response": "Normal"}}]
+        )
+        assert llm_detector(self._config(stub_server)).classify(icmp_flow()) is AttackLabel.NORMAL
+        first, second = stub_server.requests
+        assert first["raw"] == second["raw"]
+        assert (first["path"], first["headers"]) == (second["path"], second["headers"])
+
     def test_retry_succeeds_after_two_transient_failures(self, stub_server, llm_detector):
         stub_server.set_script(
             [
@@ -464,6 +509,13 @@ class TestReplay:
         loaded = load_replay_store(path)
         for record in records:
             assert ReplayDetector().classify(record, loaded) is record.label
+
+    def test_a_row_repeated_with_its_label_loads(self, tmp_path):
+        record = icmp_flow()
+        row = json.dumps({"digest": record_digest(record), "label": "DDoS-ICMP_Flood"}) + "\n"
+        path = tmp_path / "store.jsonl"
+        path.write_text(row + row, encoding="utf-8")
+        assert load_replay_store(path) == {record_digest(record): AttackLabel.ICMP_FLOOD}
 
     def test_missing_digest_fails_closed(self):
         with pytest.raises(ReplayMissError):
